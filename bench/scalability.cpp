@@ -91,7 +91,7 @@ void BM_PlacementDecisionFullScan(benchmark::State& state) {
   const sched::PlacementContext context{&reliability, 0.0};
   for (auto _ : state) {
     std::vector<const sched::NodeInfo*> eligible;
-    for (const sched::NodeInfo* node : directory.schedulable()) {
+    for (const sched::NodeInfo* node : directory.all()) {
       if (sched::node_eligible(*node, job, true, reliability, 0.0, false)) {
         eligible.push_back(node);
       }
@@ -112,7 +112,8 @@ void BM_HeartbeatSweep(benchmark::State& state) {
   populate_directory(directory, nodes);
   sched::HeartbeatMonitor monitor(env, directory, 2.0, 3, nullptr);
   for (int i = 0; i < nodes; ++i) {
-    monitor.observe("m-" + std::to_string(100000 + i), 0.0);
+    monitor.observe(directory.handle_of("m-" + std::to_string(100000 + i)),
+                    0.0);
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(monitor.sweep());

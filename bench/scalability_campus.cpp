@@ -189,8 +189,7 @@ SweepResult time_sweep(int nodes) {
     info.accepting = true;
     info.gpu_count = 1;
     info.last_heartbeat = 0.0;
-    directory.upsert(std::move(info));
-    monitor.observe(machine_id, 0.0);
+    monitor.observe(directory.upsert(std::move(info)).handle, 0.0);
   }
   SweepResult r;
   r.nodes = nodes;

@@ -476,7 +476,7 @@ void ShardedDatabase::enqueue_request(PendingRequest request) {
   wal.queue_seq = seq;
   wal_append(std::move(wal), /*deferred=*/true);
   absorb(LedgerOpKind::kEnqueue, shard, request.job_id, 0,
-         request.submitted_at);
+         clock_ ? clock_() : request.submitted_at);
   const int priority = request.priority;
   queue_parts_[shard].by_priority[priority].push_back(
       QueueItem{std::move(request), seq});
@@ -492,7 +492,7 @@ void ShardedDatabase::enqueue_request_front(PendingRequest request) {
   wal.queue_seq = seq;
   wal_append(std::move(wal), /*deferred=*/true);
   absorb(LedgerOpKind::kEnqueue, shard, request.job_id, 0,
-         request.submitted_at);
+         clock_ ? clock_() : request.submitted_at);
   const int priority = request.priority;
   queue_parts_[shard].by_priority[priority].push_front(
       QueueItem{std::move(request), seq});

@@ -36,6 +36,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -214,6 +215,12 @@ class ShardedDatabase : public Database {
   /// points) closes one db_group_commit span on the trace of the job whose
   /// key it carries — ack-to-durable latency becomes visible per job.
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
+  /// Sim clock for the ledger ack stamp of queue inserts, whose request
+  /// carries only its original submit time (a requeue is acked now, not at
+  /// submit).  Without a clock the submit time stands in.
+  void set_clock(std::function<util::SimTime()> clock) {
+    clock_ = std::move(clock);
+  }
   obs::Tracer* tracer() const { return tracer_; }
 
   /// Attaches per-shard commit threads (parallel execution mode).  The
@@ -356,6 +363,7 @@ class ShardedDatabase : public Database {
   std::uint64_t stolen_pops_ = 0;
   ShardExecutor* executor_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
+  std::function<util::SimTime()> clock_;
   RecoveryReport last_recovery_report_;
   std::uint64_t recoveries_ = 0;
 };

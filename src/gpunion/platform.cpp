@@ -27,6 +27,7 @@ Platform::Platform(sim::Environment& env, CampusConfig config)
     config_.coordinator.tracer = &own_tracer_;
   }
   database_.set_tracer(config_.coordinator.tracer);
+  database_.set_clock([this] { return env_.now(); });
   if (env_.mode() == sim::ExecutionMode::kParallel &&
       config_.db.write_behind) {
     shard_executor_ = std::make_unique<db::ShardExecutor>(

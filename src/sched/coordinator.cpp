@@ -428,29 +428,51 @@ void Coordinator::maybe_retire(const std::string& job_id) {
 
 void Coordinator::settle_in_flight(const JobRecord& record,
                                    const std::string& machine_id) {
-  auto& counters = record.timeslice_slot ? in_flight_timeslice_dispatches_
-                   : record.fractional_slot ? in_flight_slot_dispatches_
-                                            : in_flight_dispatches_;
-  auto it = counters.find(machine_id);
-  if (it == counters.end()) return;
-  if (--it->second <= 0) counters.erase(it);
+  const NodeHandle handle = directory_.handle_of(machine_id);
+  if (handle == kNoNode) return;
+  InFlight& counts = in_flight(handle);
+  int& count = record.timeslice_slot    ? counts.seats
+               : record.fractional_slot ? counts.slots
+                                        : counts.whole;
+  if (count > 0) --count;
 }
 
-void Coordinator::touch_heartbeat_db(const std::string& machine_id) {
+void Coordinator::drop_node(NodeHandle handle, db::NodeStatus status) {
+  directory_.update(handle, [status](NodeInfo& node) {
+    node.status = status;
+    node.free_gpus = 0;
+    node.free_shared_slots = 0;
+    node.free_timeslice_slots = 0;
+  });
+  in_flight(handle) = {};
+  heartbeat_monitor_.forget(handle);
+}
+
+void Coordinator::touch_heartbeat_db(NodeHandle handle) {
   if (!config_.batch_heartbeat_writes) {
-    (void)database_.touch_heartbeat(machine_id, env_.now());
+    (void)database_.touch_heartbeat(directory_.node(handle).machine_id,
+                                    env_.now());
     return;
   }
-  pending_heartbeat_touches_[machine_id] = env_.now();
+  if (handle >= pending_touch_at_.size()) {
+    pending_touch_at_.resize(handle + 1, -1);
+  }
+  if (pending_touch_at_[handle] < 0) pending_touches_.push_back(handle);
+  pending_touch_at_[handle] = env_.now();
   ++stats_.heartbeat_db_touches_coalesced;
 }
 
 void Coordinator::flush_heartbeat_db() {
-  if (pending_heartbeat_touches_.empty()) return;
-  const std::vector<std::pair<std::string, util::SimTime>> batch(
-      pending_heartbeat_touches_.begin(), pending_heartbeat_touches_.end());
+  if (pending_touches_.empty()) return;
+  std::vector<std::pair<std::string, util::SimTime>> batch;
+  batch.reserve(pending_touches_.size());
+  for (const NodeHandle handle : pending_touches_) {
+    batch.emplace_back(directory_.node(handle).machine_id,
+                       pending_touch_at_[handle]);
+    pending_touch_at_[handle] = -1;
+  }
   (void)database_.touch_heartbeats(batch);
-  pending_heartbeat_touches_.clear();
+  pending_touches_.clear();
   ++stats_.heartbeat_db_flushes;
 }
 
@@ -489,12 +511,11 @@ void Coordinator::crash() {
   archive_.clear();
   jobs_by_node_.clear();
   displaced_by_node_.clear();
-  in_flight_dispatches_.clear();
-  in_flight_slot_dispatches_.clear();
-  in_flight_timeslice_dispatches_.clear();
+  in_flight_.clear();
   cause_hints_.clear();
   reserved_ids_.clear();  // gateway recovery re-reserves from durable rows
-  pending_heartbeat_touches_.clear();  // lost: beats not yet flushed
+  pending_touches_.clear();  // lost: beats not yet flushed
+  pending_touch_at_.clear();
   directory_.clear();
   // Reliability evidence and migration history are in-memory only
   // (documented non-durable): scores reset to steady on restart.
@@ -576,11 +597,11 @@ void Coordinator::rebuild_from_db() {
     info.last_heartbeat = row.last_heartbeat;
     info.registered_at = row.registered_at;
     info.token_hash = row.auth_token_hash;
-    directory_.upsert(std::move(info));
+    const NodeHandle handle = directory_.upsert(std::move(info)).handle;
     if (active) {
       // Fresh detection window from the restart: a node that died during
       // the outage is flagged one deadline after recovery, not instantly.
-      heartbeat_monitor_.observe(row.machine_id, env_.now());
+      heartbeat_monitor_.observe(handle, env_.now());
     }
     ++recovery_stats_.nodes_rebuilt;
   }
@@ -758,12 +779,10 @@ void Coordinator::handle_register(const agent::RegisterRequest& request) {
   info.registered_at =
       existing != nullptr ? existing->registered_at : env_.now();
   info.token_hash = util::Sha256::hex_of(token);
-  directory_.upsert(std::move(info));
+  const NodeHandle handle = directory_.upsert(std::move(info)).handle;
   // A (re)registration starts from a clean slate: no dispatches in flight.
-  in_flight_dispatches_.erase(request.machine_id);
-  in_flight_slot_dispatches_.erase(request.machine_id);
-  in_flight_timeslice_dispatches_.erase(request.machine_id);
-  heartbeat_monitor_.observe(request.machine_id, env_.now());
+  in_flight(handle) = {};
+  heartbeat_monitor_.observe(handle, env_.now());
 
   db::NodeRecord db_record;
   db_record.machine_id = request.machine_id;
@@ -807,66 +826,58 @@ void Coordinator::handle_register(const agent::RegisterRequest& request) {
 }
 
 void Coordinator::handle_heartbeat(const agent::Heartbeat& beat) {
-  NodeInfo* node = directory_.find(beat.machine_id);
-  if (node == nullptr) return;  // never registered; ignore
-  if (beat.auth_token != node->verified_token) {
-    if (util::Sha256::hex_of(beat.auth_token) != node->token_hash) {
-      ++stats_.auth_failures;
-      GPUNION_WLOG("coordinator")
-          << "heartbeat with bad token from " << beat.machine_id;
-      return;
-    }
-    node->verified_token = beat.auth_token;
+  // The one id lookup of the beat; everything behind it is by handle.
+  const NodeHandle handle = directory_.handle_of(beat.machine_id);
+  if (handle == kNoNode) return;  // never registered; ignore
+  const NodeInfo& node = directory_.node(handle);
+  const bool verified = beat.auth_token == node.verified_token;
+  if (!verified && util::Sha256::hex_of(beat.auth_token) != node.token_hash) {
+    ++stats_.auth_failures;
+    GPUNION_WLOG("coordinator")
+        << "heartbeat with bad token from " << beat.machine_id;
+    return;
   }
   ++stats_.heartbeats_processed;
-  const bool was_unavailable = node->status == db::NodeStatus::kUnavailable;
-  node->last_heartbeat = env_.now();
-  node->last_heartbeat_seq = beat.seq;
-  node->accepting = beat.accepting;
-  heartbeat_monitor_.observe(beat.machine_id, env_.now());
-  // The agent's counts are ground truth; re-subtract what is still in
-  // flight so the scheduling view never double-books.  The in-flight maps
-  // are sparse (entries exist only while dispatches are outstanding) — a
-  // heartbeat must not insert.
-  auto whole_it = in_flight_dispatches_.find(beat.machine_id);
-  const int in_flight =
-      whole_it == in_flight_dispatches_.end() ? 0 : whole_it->second;
-  node->free_gpus = std::max(0, beat.free_gpus - in_flight);
-  node->free_shared_slots = beat.free_shared_slots;
-  auto slot_it = in_flight_slot_dispatches_.find(beat.machine_id);
-  const int slots_in_flight =
-      slot_it == in_flight_slot_dispatches_.end() ? 0 : slot_it->second;
-  for (int i = slots_in_flight; i > 0; --i) {
-    if (node->free_shared_slots > 0) {
-      --node->free_shared_slots;
-    } else if (node->free_gpus > 0) {
-      --node->free_gpus;
-      node->free_shared_slots += std::max(1, node->slots_per_gpu) - 1;
-    }
-  }
-  node->free_timeslice_slots = beat.free_timeslice_slots;
-  auto seat_it = in_flight_timeslice_dispatches_.find(beat.machine_id);
-  const int seats_in_flight =
-      seat_it == in_flight_timeslice_dispatches_.end() ? 0 : seat_it->second;
-  for (int i = seats_in_flight; i > 0; --i) {
-    if (node->free_timeslice_slots > 0) {
-      --node->free_timeslice_slots;
-    } else if (node->free_gpus > 0) {
-      --node->free_gpus;
-      node->free_timeslice_slots +=
-          std::max(1, node->timeslice_tenants_per_gpu) - 1;
-    }
-  }
-  touch_heartbeat_db(beat.machine_id);
+  const bool was_unavailable = node.status == db::NodeStatus::kUnavailable;
+  const InFlight sent = in_flight(handle);
+  // A beat that confirms the current counts leaves the view untouched.
+  directory_.update(handle, [&](NodeInfo& entry) {
+    if (!verified) entry.verified_token = beat.auth_token;
+    entry.last_heartbeat = env_.now();
+    entry.last_heartbeat_seq = beat.seq;
+    entry.accepting = beat.accepting;
+    if (was_unavailable) entry.status = db::NodeStatus::kActive;
+    // The agent's counts are ground truth; re-subtract what is still in
+    // flight so the scheduling view never double-books.  A shared unit in
+    // flight takes a free one, else opens a free GPU in that mode.
+    entry.free_gpus = std::max(0, beat.free_gpus - sent.whole);
+    auto resubtract = [&entry](int in_flight_units, int& free_units,
+                               int per_gpu) {
+      for (int i = in_flight_units; i > 0; --i) {
+        if (free_units > 0) {
+          --free_units;
+        } else if (entry.free_gpus > 0) {
+          --entry.free_gpus;
+          free_units += std::max(1, per_gpu) - 1;
+        }
+      }
+    };
+    entry.free_shared_slots = beat.free_shared_slots;
+    resubtract(sent.slots, entry.free_shared_slots, entry.slots_per_gpu);
+    entry.free_timeslice_slots = beat.free_timeslice_slots;
+    resubtract(sent.seats, entry.free_timeslice_slots,
+               entry.timeslice_tenants_per_gpu);
+  });
+  heartbeat_monitor_.observe(handle, env_.now());
+  touch_heartbeat_db(handle);
 
   if (was_unavailable) {
-    node->status = db::NodeStatus::kActive;
     (void)database_.set_node_status(beat.machine_id, db::NodeStatus::kActive);
     GPUNION_ILOG("coordinator")
         << beat.machine_id << " heartbeats resumed; back in the pool";
     on_node_returned(beat.machine_id);
-  } else if ((node->free_gpus > 0 || node->free_shared_slots > 0 ||
-              node->free_timeslice_slots > 0) &&
+  } else if ((node.free_gpus > 0 || node.free_shared_slots > 0 ||
+              node.free_timeslice_slots > 0) &&
              database_.queue_depth() > 0) {
     request_pass();
   }
@@ -1000,8 +1011,7 @@ void Coordinator::handle_dispatch_result(const agent::DispatchResult& result) {
   record->reclaim_requested = false;
   record->running_since = env_.now();
   record->segment_start_progress = record->checkpointed_progress;
-  if (const NodeInfo* node =
-          static_cast<const Directory&>(directory_).find(result.machine_id)) {
+  if (const NodeInfo* node = directory_.find(result.machine_id)) {
     record->node_speed = workload::speed_factor(node->gpu_tflops) *
                          std::max(1, record->spec.requirements.gpu_count);
     if (record->fractional_slot) {
@@ -1124,19 +1134,13 @@ void Coordinator::handle_departure_notice(
     it->second.last_checkpoint_at = env_.now();
     persist_job(it->second);
   }
-  if (NodeInfo* node = directory_.find(notice.machine_id)) {
-    node->status = db::NodeStatus::kDeparted;
-    node->free_gpus = 0;
-    node->free_shared_slots = 0;
-    node->free_timeslice_slots = 0;
+  if (const NodeHandle handle = directory_.handle_of(notice.machine_id);
+      handle != kNoNode) {
+    drop_node(handle, db::NodeStatus::kDeparted);
   }
   (void)database_.set_node_status(notice.machine_id,
                                   db::NodeStatus::kDeparted);
   reliability_.record_departure(notice.machine_id, env_.now());
-  in_flight_dispatches_.erase(notice.machine_id);
-  in_flight_slot_dispatches_.erase(notice.machine_id);
-  in_flight_timeslice_dispatches_.erase(notice.machine_id);
-  heartbeat_monitor_.forget(notice.machine_id);
   interrupt_jobs_on(notice.machine_id, notice.kind, env_.now());
   GPUNION_ILOG("coordinator") << notice.machine_id << " departed ("
                               << departure_kind_name(notice.kind) << ")";
@@ -1265,16 +1269,17 @@ void Coordinator::dispatch_to(JobRecord& record, const NodeInfo& node,
                               const PlacementDecision& decision) {
   const bool timeslice = decision.timeslice;
   const bool fractional = decision.fractional;
+  InFlight& sent = in_flight(node.handle);
   if (timeslice) {
     (void)directory_.reserve_timeslice_slot(node.machine_id);
-    ++in_flight_timeslice_dispatches_[node.machine_id];
+    ++sent.seats;
   } else if (fractional) {
     (void)directory_.reserve_slot(node.machine_id);
-    ++in_flight_slot_dispatches_[node.machine_id];
+    ++sent.slots;
   } else {
     directory_.reserve_gpus(node.machine_id,
                             record.spec.requirements.gpu_count);
-    ++in_flight_dispatches_[node.machine_id];
+    ++sent.whole;
   }
   record.fractional_slot = fractional;
   record.timeslice_slot = timeslice;
@@ -1523,18 +1528,14 @@ void Coordinator::interrupt_jobs_on(const std::string& machine_id,
 }
 
 void Coordinator::on_node_lost(const std::string& machine_id) {
-  NodeInfo* node = directory_.find(machine_id);
-  if (node == nullptr || node->status != db::NodeStatus::kActive) return;
-  node->status = db::NodeStatus::kUnavailable;
-  node->free_gpus = 0;
-  node->free_shared_slots = 0;
-  node->free_timeslice_slots = 0;
+  const NodeHandle handle = directory_.handle_of(machine_id);
+  if (handle == kNoNode ||
+      directory_.node(handle).status != db::NodeStatus::kActive) {
+    return;
+  }
+  drop_node(handle, db::NodeStatus::kUnavailable);
   (void)database_.set_node_status(machine_id, db::NodeStatus::kUnavailable);
   reliability_.record_departure(machine_id, env_.now());
-  in_flight_dispatches_.erase(machine_id);
-  in_flight_slot_dispatches_.erase(machine_id);
-  in_flight_timeslice_dispatches_.erase(machine_id);
-  heartbeat_monitor_.forget(machine_id);
 
   agent::DepartureKind cause = agent::DepartureKind::kEmergency;
   auto hint = cause_hints_.find(machine_id);
@@ -1544,7 +1545,7 @@ void Coordinator::on_node_lost(const std::string& machine_id) {
   }
   // The node actually vanished around its last heartbeat; measuring the
   // interruption from there makes downtime include detection latency.
-  interrupt_jobs_on(machine_id, cause, node->last_heartbeat);
+  interrupt_jobs_on(machine_id, cause, directory_.node(handle).last_heartbeat);
 }
 
 void Coordinator::on_node_returned(const std::string& machine_id) {

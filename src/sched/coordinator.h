@@ -378,13 +378,15 @@ class Coordinator {
   /// record's address survives.  No-op while the record is non-terminal or
   /// still awaits a dispatch-ack settle (cancel during kDispatching).
   void maybe_retire(const std::string& job_id);
-  /// Settles the per-node in-flight dispatch counter for this record
-  /// (erasing the entry at zero keeps the maps O(nodes with in-flight)).
+  /// Settles the per-node in-flight dispatch counter for this record.
   void settle_in_flight(const JobRecord& record,
                         const std::string& machine_id);
+  /// Marks a node gone (unavailable or departed): no free capacity, no
+  /// dispatches in flight, no longer tracked by the failure detector.
+  void drop_node(NodeHandle handle, db::NodeStatus status);
   /// Queues a DB heartbeat write; flushes the batch at most once per
   /// heartbeat interval (or writes through when batching is off).
-  void touch_heartbeat_db(const std::string& machine_id);
+  void touch_heartbeat_db(NodeHandle handle);
   void flush_heartbeat_db();
 
   // churn handling
@@ -438,13 +440,23 @@ class Coordinator {
   std::unordered_map<std::string, std::set<std::string>> jobs_by_node_;
   /// Live jobs with record.displaced_from == key (migrate-back candidates).
   std::unordered_map<std::string, std::set<std::string>> displaced_by_node_;
-  // Sparse: entries exist only while a node has dispatches in flight.
-  std::map<std::string, int> in_flight_dispatches_;       // whole-GPU, per node
-  std::map<std::string, int> in_flight_slot_dispatches_;  // fractional, per node
-  std::map<std::string, int> in_flight_timeslice_dispatches_;  // seats, per node
+  /// Dispatches sent but not yet acked, per node: the heartbeat re-subtracts
+  /// them from the agent's free counts.
+  struct InFlight {
+    int whole = 0;  // whole-GPU dispatches
+    int slots = 0;  // fractional-slot dispatches
+    int seats = 0;  // time-slice seat dispatches
+  };
+  std::vector<InFlight> in_flight_;  // by node handle
+  InFlight& in_flight(NodeHandle handle) {
+    if (handle >= in_flight_.size()) in_flight_.resize(handle + 1);
+    return in_flight_[handle];
+  }
   std::map<std::string, agent::DepartureKind> cause_hints_;
-  // Heartbeat DB writes accumulated since the last batched flush.
-  std::map<std::string, util::SimTime> pending_heartbeat_touches_;
+  // Heartbeat DB writes accumulated since the last batched flush: the
+  // newest beat per node (by handle; negative = none), in first-touch order.
+  std::vector<util::SimTime> pending_touch_at_;
+  std::vector<NodeHandle> pending_touches_;
   CoordinatorStats stats_;
   CoordinatorRecoveryStats recovery_stats_;
   OnUnplaceable on_unplaceable_;

@@ -1,345 +1,337 @@
 #include "sched/directory.h"
 
 #include <algorithm>
+#include <bit>
 
 namespace gpunion::sched {
+
+// ---------------------------------------------------------------------------
+// RankBitset / CandidateSet
+// ---------------------------------------------------------------------------
+
+void RankBitset::set(std::uint32_t rank) {
+  if (rank / 64 >= words_.size()) words_.resize(rank / 64 + 1, 0);
+  words_[rank / 64] |= std::uint64_t{1} << (rank % 64);
+}
+
+void RankBitset::reset(std::uint32_t rank) {
+  if (rank / 64 < words_.size()) {
+    words_[rank / 64] &= ~(std::uint64_t{1} << (rank % 64));
+  }
+}
+
+std::uint64_t CandidateSet::word(const Segment& segment, std::size_t w) const {
+  std::uint64_t bits = ~std::uint64_t{0};
+  for (std::size_t i = 0; i < segment.terms_used; ++i) {
+    const std::uint64_t term = segment.terms[i]->word(w);
+    bits &= (segment.negated >> i) & 1 ? ~term : term;
+  }
+  return bits;
+}
+
+const NodeInfo* CandidateSet::at(std::size_t w, int bit) const {
+  ++view_->candidates_examined_;
+  return &view_->nodes_[view_->by_rank_[w * 64 + bit]];
+}
+
+CandidateSet::iterator CandidateSet::begin() const {
+  iterator it;
+  it.set_ = this;
+  if (!lazy()) return it;  // list position 0
+  if (segments_.empty()) return end();
+  it.bits_ = word(segments_[0], 0);
+  it.settle();
+  return it;
+}
+
+CandidateSet::iterator CandidateSet::end() const {
+  iterator it;
+  it.set_ = this;
+  it.segment_ = lazy() ? segments_.size() : 0;
+  it.word_ = lazy() ? 0 : list_.size();
+  return it;
+}
+
+void CandidateSet::iterator::settle() {
+  const auto& segments = set_->segments_;
+  while (bits_ == 0 && segment_ < segments.size()) {
+    if (++word_ >= set_->words_) {
+      word_ = 0;
+      if (++segment_ == segments.size()) return;
+    }
+    bits_ = set_->word(segments[segment_], word_);
+  }
+  if (bits_ != 0) node_ = set_->at(word_, std::countr_zero(bits_));
+}
+
+const NodeInfo* CandidateSet::iterator::operator*() const {
+  return set_->lazy() ? node_ : set_->list_[word_];
+}
+
+CandidateSet::iterator& CandidateSet::iterator::operator++() {
+  if (!set_->lazy()) {
+    ++word_;
+    return *this;
+  }
+  bits_ &= bits_ - 1;
+  settle();
+  return *this;
+}
+
+std::size_t CandidateSet::size() const {
+  if (!lazy()) return list_.size();
+  if (size_ == std::numeric_limits<std::size_t>::max()) {
+    size_ = 0;
+    for (const Segment& segment : segments_) {
+      for (std::size_t w = 0; w < words_; ++w) {
+        size_ += static_cast<std::size_t>(std::popcount(word(segment, w)));
+      }
+    }
+  }
+  return size_;
+}
+
+const NodeInfo* CandidateSet::nth(std::size_t k) const {
+  if (!lazy()) return k < list_.size() ? list_[k] : nullptr;
+  for (const Segment& segment : segments_) {
+    for (std::size_t w = 0; w < words_; ++w) {
+      std::uint64_t bits = word(segment, w);
+      const auto count = static_cast<std::size_t>(std::popcount(bits));
+      if (k >= count) {
+        k -= count;
+        continue;
+      }
+      for (; k > 0; --k) bits &= bits - 1;  // drop the k lower members
+      return at(w, std::countr_zero(bits));
+    }
+  }
+  return nullptr;
+}
 
 // ---------------------------------------------------------------------------
 // ClusterView
 // ---------------------------------------------------------------------------
 
-void ClusterView::mark_dirty(const std::string& machine_id) {
-  dirty_.insert(machine_id);
+void ClusterView::AtLeastIndex::insert(double value, std::uint32_t rank) {
+  auto [it, fresh] = sets_.try_emplace(value);
+  // A new key starts as its successor's set: no node sits strictly between.
+  if (fresh && std::next(it) != sets_.end()) it->second = std::next(it)->second;
+  for (auto key = sets_.begin(); key != std::next(it); ++key) {
+    key->second.set(rank);
+  }
+}
+
+void ClusterView::AtLeastIndex::erase(double value, std::uint32_t rank) {
+  for (auto key = sets_.begin(); key != sets_.end() && key->first <= value;
+       ++key) {
+    key->second.reset(rank);
+  }
+}
+
+const RankBitset* ClusterView::AtLeastIndex::at_least(double min) const {
+  auto it = sets_.lower_bound(min);
+  return it == sets_.end() ? nullptr : &it->second;
+}
+
+void ClusterView::mark_dirty(NodeHandle handle) {
+  if (entries_[handle].dirty) return;
+  entries_[handle].dirty = true;
+  dirty_.push_back(handle);
+}
+
+void ClusterView::add_node(NodeHandle handle) {
+  entries_.resize(handle + 1);
+  if (!ranks_stale_ && (by_rank_.empty() ||
+                        nodes_[by_rank_.back()].machine_id <
+                            nodes_[handle].machine_id)) {
+    entries_[handle].rank = static_cast<std::uint32_t>(by_rank_.size());
+  } else {
+    ranks_stale_ = true;
+  }
+  by_rank_.push_back(handle);
+  mark_dirty(handle);
 }
 
 void ClusterView::clear() {
-  free_buckets_.clear();
-  slot_nodes_.clear();
+  entries_.clear();
+  by_rank_.clear();
+  ranks_stale_ = false;
+  dirty_.clear();
+  free_at_least_.clear();
+  fractional_nodes_.clear();
   timeslice_nodes_.clear();
   by_group_.clear();
   by_capability_.clear();
-  entries_.clear();
-  dirty_.clear();
+  by_memory_.clear();
+  by_share_cap_.clear();
+  schedulable_ = 0;
   sum_free_gpus_ = 0;
   sum_free_slots_ = 0;
   sum_free_timeslice_ = 0;
 }
 
 void ClusterView::refresh() {
-  for (const auto& machine_id : dirty_) {
-    unindex(machine_id);
-    auto it = nodes_.find(machine_id);
-    if (it != nodes_.end()) index(it->second);
+  if (ranks_stale_) {
+    // One sort re-ranks the fleet; every index is rebuilt under the new
+    // ranks (registrations arriving out of id order, e.g. initial bring-up).
+    std::vector<NodeHandle> by_rank = std::move(by_rank_);
+    const std::size_t handles = entries_.size();
+    clear();
+    std::sort(by_rank.begin(), by_rank.end(), [this](NodeHandle a, NodeHandle b) {
+      return nodes_[a].machine_id < nodes_[b].machine_id;
+    });
+    entries_.resize(handles);
+    for (std::size_t rank = 0; rank < by_rank.size(); ++rank) {
+      entries_[by_rank[rank]].rank = static_cast<std::uint32_t>(rank);
+      mark_dirty(by_rank[rank]);
+    }
+    by_rank_ = std::move(by_rank);
+  }
+  for (const NodeHandle handle : dirty_) {
+    unindex(entries_[handle]);
+    entries_[handle].dirty = false;
+    index(nodes_[handle], entries_[handle]);
     ++reindexed_nodes_;
   }
   dirty_.clear();
 }
 
-void ClusterView::unindex(const std::string& machine_id) {
-  auto entry_it = entries_.find(machine_id);
-  if (entry_it == entries_.end()) return;
-  const IndexEntry& entry = entry_it->second;
-  if (entry.free_bucket >= 0) {
-    auto bucket = free_buckets_.find(entry.free_bucket);
-    if (bucket != free_buckets_.end()) {
-      bucket->second.erase(entry.ptr);
-      if (bucket->second.empty()) free_buckets_.erase(bucket);
-    }
-  }
-  if (entry.in_slot_set) slot_nodes_.erase(entry.ptr);
-  if (entry.in_timeslice_set) timeslice_nodes_.erase(entry.ptr);
-  sum_free_gpus_ -= entry.counted_free_gpus;
+void ClusterView::unindex(IndexEntry& entry) {
+  if (!entry.indexed) return;
+  const std::uint32_t rank = entry.rank;
+  for (int k = 0; k <= entry.free_gpus; ++k) free_at_least_[k].reset(rank);
+  if (entry.fractional) fractional_nodes_.reset(rank);
+  if (entry.timeslice) timeslice_nodes_.reset(rank);
+  entry.group->reset(rank);
+  by_capability_.erase(entry.capability, rank);
+  by_memory_.erase(entry.memory, rank);
+  if (entry.shares) by_share_cap_.erase(entry.share_cap, rank);
+  --schedulable_;
+  sum_free_gpus_ -= entry.free_gpus;
   sum_free_slots_ -= entry.counted_free_slots;
   sum_free_timeslice_ -= entry.counted_free_timeslice;
-  auto group = by_group_.find(entry.group);
-  if (group != by_group_.end()) {
-    group->second.erase(entry.ptr);
-    if (group->second.empty()) by_group_.erase(group);
-  }
-  auto capability = by_capability_.find(entry.capability);
-  if (capability != by_capability_.end()) {
-    capability->second.erase(entry.ptr);
-    if (capability->second.empty()) by_capability_.erase(capability);
-  }
-  entries_.erase(entry_it);
+  entry = IndexEntry{.rank = rank};
 }
 
-void ClusterView::index(const NodeInfo& node) {
+void ClusterView::index(const NodeInfo& node, IndexEntry& entry) {
   if (!node.schedulable()) return;  // unschedulable nodes stay unindexed
-  IndexEntry entry;
-  entry.ptr = &node;
-  if (node.free_gpus > 0) {
-    entry.free_bucket = node.free_gpus;
-    free_buckets_[node.free_gpus].insert(&node);
+  const std::uint32_t rank = entry.rank;
+  entry.indexed = true;
+  entry.free_gpus = std::max(0, node.free_gpus);
+  if (free_at_least_.size() <= static_cast<std::size_t>(entry.free_gpus)) {
+    free_at_least_.resize(entry.free_gpus + 1);
   }
-  if (node.free_shared_slots > 0 && node.slots_per_gpu > 1) {
-    entry.in_slot_set = true;
-    slot_nodes_.insert(&node);
-  }
-  if (node.free_timeslice_slots > 0 && node.timeslice_tenants_per_gpu > 1) {
-    entry.in_timeslice_set = true;
-    timeslice_nodes_.insert(&node);
-  }
-  entry.counted_free_gpus = node.free_gpus;
+  for (int k = 0; k <= entry.free_gpus; ++k) free_at_least_[k].set(rank);
+  entry.shares = node.slots_per_gpu > 1;
+  entry.fractional =
+      entry.shares && (node.free_shared_slots > 0 || node.free_gpus > 0);
+  entry.timeslice = node.timeslice_tenants_per_gpu > 1 &&
+                    (node.free_timeslice_slots > 0 || node.free_gpus > 0);
+  if (entry.fractional) fractional_nodes_.set(rank);
+  if (entry.timeslice) timeslice_nodes_.set(rank);
+  entry.group = &by_group_[node.owner_group];
+  entry.group->set(rank);
+  entry.capability = node.compute_capability;
+  entry.memory = node.gpu_memory_gb;
+  entry.share_cap = node.share_memory_cap_gb;
+  by_capability_.insert(entry.capability, rank);
+  by_memory_.insert(entry.memory, rank);
+  if (entry.shares) by_share_cap_.insert(entry.share_cap, rank);
+  ++schedulable_;
   entry.counted_free_slots = node.free_shared_slots;
   entry.counted_free_timeslice = node.free_timeslice_slots;
-  sum_free_gpus_ += entry.counted_free_gpus;
+  sum_free_gpus_ += entry.free_gpus;
   sum_free_slots_ += entry.counted_free_slots;
   sum_free_timeslice_ += entry.counted_free_timeslice;
-  entry.group = node.owner_group;
-  by_group_[node.owner_group].insert(&node);
-  entry.capability = node.compute_capability;
-  by_capability_[node.compute_capability].insert(&node);
-  entries_[node.machine_id] = std::move(entry);
 }
 
-std::vector<const NodeInfo*> ClusterView::whole_gpu_candidates(
-    int gpu_count, double min_memory_gb, double min_compute_capability,
-    const std::string* owner_group) {
+CandidateSet ClusterView::make_set() const {
+  CandidateSet set;
+  set.view_ = this;
+  set.words_ = (by_rank_.size() + 63) / 64;
+  return set;
+}
+
+void ClusterView::add_segment(
+    CandidateSet& set,
+    std::initializer_list<std::pair<const RankBitset*, bool>> terms) {
+  CandidateSet::Segment segment;
+  for (const auto& [bits, complemented] : terms) {
+    if (bits == nullptr) {
+      if (complemented) continue;  // complement of nothing: no constraint
+      return;                      // AND with nothing: empty segment
+    }
+    if (complemented) segment.negated |= 1u << segment.terms_used;
+    segment.terms[segment.terms_used++] = bits;
+  }
+  set.segments_.push_back(segment);
+}
+
+const RankBitset* ClusterView::free_at_least(int count) const {
+  return count >= 0 && static_cast<std::size_t>(count) < free_at_least_.size()
+             ? &free_at_least_[count]
+             : nullptr;
+}
+
+const RankBitset* ClusterView::group_nodes(const std::string* group) const {
+  if (group == nullptr) return free_at_least(0);
+  auto it = by_group_.find(*group);
+  return it == by_group_.end() ? nullptr : &it->second;
+}
+
+CandidateSet ClusterView::whole_gpu(int gpu_count, double min_memory_gb,
+                                    double min_compute_capability,
+                                    const std::string* owner_group) {
   refresh();
-  std::vector<const NodeInfo*> out;
-  auto admit = [&](const NodeInfo* node) {
-    ++candidates_examined_;
-    if (node->free_gpus < gpu_count) return;
-    if (node->gpu_memory_gb < min_memory_gb) return;
-    if (node->compute_capability < min_compute_capability) return;
-    out.push_back(node);
-  };
+  CandidateSet set = make_set();
+  const RankBitset* memory = by_memory_.at_least(min_memory_gb);
+  const RankBitset* capability = by_capability_.at_least(min_compute_capability);
   if (owner_group != nullptr) {
-    auto group = by_group_.find(*owner_group);
-    if (group == by_group_.end()) return out;
-    for (const NodeInfo* node : group->second) admit(node);
-    return out;  // group sets are id-ordered already
+    add_segment(set, {{group_nodes(owner_group), false},
+                      {free_at_least(std::max(0, gpu_count)), false},
+                      {memory, false},
+                      {capability, false}});
+    return set;
   }
-  // Query planner: walk whichever index admits fewer nodes — the
-  // free-capacity buckets (selective on a busy fleet) or the capability
-  // range (selective for high-CC jobs on a mixed fleet).  Either way the
-  // iteration is key-major, id-ordered within a key: deterministic for
-  // identical directory state without a per-query sort.
-  if (prefer_capability_walk(gpu_count, min_compute_capability)) {
-    for (auto it = by_capability_.lower_bound(min_compute_capability);
-         it != by_capability_.end(); ++it) {
-      for (const NodeInfo* node : it->second) admit(node);
-    }
-  } else {
-    for (auto it = free_buckets_.lower_bound(gpu_count);
-         it != free_buckets_.end(); ++it) {
-      for (const NodeInfo* node : it->second) admit(node);
-    }
+  // One segment per free-GPU count: the tightest hosts come first.
+  for (int free = std::max(0, gpu_count);
+       free < static_cast<int>(free_at_least_.size()); ++free) {
+    add_segment(set, {{&free_at_least_[free], false},
+                      {free_at_least(free + 1), true},
+                      {memory, false},
+                      {capability, false}});
   }
-  return out;
+  return set;
 }
 
-bool ClusterView::prefer_capability_walk(int gpu_count,
-                                         double min_compute_capability) const {
-  std::size_t free_count = 0;
-  for (auto it = free_buckets_.lower_bound(gpu_count);
-       it != free_buckets_.end(); ++it) {
-    free_count += it->second.size();
-  }
-  std::size_t capability_count = 0;
-  for (auto it = by_capability_.lower_bound(min_compute_capability);
-       it != by_capability_.end(); ++it) {
-    capability_count += it->second.size();
-  }
-  return capability_count < free_count;
-}
-
-std::vector<const NodeInfo*> ClusterView::fractional_candidates(
-    double memory_gb, double min_compute_capability,
-    const std::string* owner_group) {
+CandidateSet ClusterView::fractional(double memory_gb,
+                                     double min_compute_capability,
+                                     const std::string* owner_group) {
   refresh();
-  std::vector<const NodeInfo*> out;
-  auto admit = [&](const NodeInfo* node) {
-    ++candidates_examined_;
-    if (node->slots_per_gpu <= 1) return;
-    if (node->free_shared_slots <= 0 && node->free_gpus <= 0) return;
-    if (memory_gb > node->share_memory_cap_gb) return;
-    if (node->compute_capability < min_compute_capability) return;
-    out.push_back(node);
-  };
-  if (owner_group != nullptr) {
-    auto group = by_group_.find(*owner_group);
-    if (group == by_group_.end()) return out;
-    for (const NodeInfo* node : group->second) admit(node);
-    return out;
-  }
-  // Union of the shared-slot set and every free-capacity bucket.  A node
-  // with both a free slot and a free GPU appears in both indexes; the
-  // bucket pass skips slot-set members instead of building a merged set.
-  for (const NodeInfo* node : slot_nodes_) admit(node);
-  for (const auto& [free, bucket] : free_buckets_) {
-    for (const NodeInfo* node : bucket) {
-      if (node->free_shared_slots > 0 && node->slots_per_gpu > 1) {
-        continue;  // already admitted from the slot set
-      }
-      admit(node);
-    }
-  }
-  return out;
+  CandidateSet set = make_set();
+  add_segment(set, {{&fractional_nodes_, false},
+                    {by_share_cap_.at_least(memory_gb), false},
+                    {by_capability_.at_least(min_compute_capability), false},
+                    {group_nodes(owner_group), false}});
+  return set;
 }
 
-std::vector<const NodeInfo*> ClusterView::timeslice_candidates(
-    double working_set_gb, double min_compute_capability,
-    const std::string* owner_group) {
+CandidateSet ClusterView::timeslice(double working_set_gb,
+                                    double min_compute_capability,
+                                    const std::string* owner_group) {
   refresh();
-  std::vector<const NodeInfo*> out;
-  auto admit = [&](const NodeInfo* node) {
-    ++candidates_examined_;
-    if (node->timeslice_tenants_per_gpu <= 1) return;
-    if (node->free_timeslice_slots <= 0 && node->free_gpus <= 0) return;
-    if (working_set_gb > node->gpu_memory_gb) return;
-    if (node->compute_capability < min_compute_capability) return;
-    out.push_back(node);
-  };
-  if (owner_group != nullptr) {
-    auto group = by_group_.find(*owner_group);
-    if (group == by_group_.end()) return out;
-    for (const NodeInfo* node : group->second) admit(node);
-    return out;
-  }
-  // Union of the time-slice seat set and every free-capacity bucket, as
-  // with fractional candidates (the seat pass is preferred: packing more
-  // tenants onto already-sliced devices keeps whole GPUs free).
-  for (const NodeInfo* node : timeslice_nodes_) admit(node);
-  for (const auto& [free, bucket] : free_buckets_) {
-    for (const NodeInfo* node : bucket) {
-      if (node->free_timeslice_slots > 0 &&
-          node->timeslice_tenants_per_gpu > 1) {
-        continue;  // already admitted from the seat set
-      }
-      admit(node);
-    }
-  }
-  return out;
-}
-
-const NodeInfo* ClusterView::first_whole_gpu_candidate(
-    int gpu_count, double min_memory_gb, double min_compute_capability,
-    const std::string* owner_group, const NodePredicate& pred) {
-  refresh();
-  auto probe = [&](const NodeInfo* node) -> bool {
-    ++candidates_examined_;
-    if (node->free_gpus < gpu_count) return false;
-    if (node->gpu_memory_gb < min_memory_gb) return false;
-    if (node->compute_capability < min_compute_capability) return false;
-    return pred(*node);
-  };
-  if (owner_group != nullptr) {
-    auto group = by_group_.find(*owner_group);
-    if (group == by_group_.end()) return nullptr;
-    for (const NodeInfo* node : group->second) {
-      if (probe(node)) return node;
-    }
-    return nullptr;
-  }
-  // The probe MUST walk the same index the enumerating query would pick:
-  // a node whose scheduling fields were mutated through a cached
-  // Directory::find() pointer after the last refresh is filed under stale
-  // keys, and the two indexes then disagree on membership (e.g. a node
-  // that freed up is absent from every free bucket but still present in
-  // the capability range).  An asymmetric walk made any_eligible() deny
-  // jobs place() could serve — the gateway then forwarded out work the
-  // local campus could run.  Planner parity keeps probe and enumeration
-  // agreeing under any single-node staleness; on the common
-  // has-free-capacity fleet the bucket walk still wins and the probe
-  // stays O(1).
-  if (prefer_capability_walk(gpu_count, min_compute_capability)) {
-    for (auto it = by_capability_.lower_bound(min_compute_capability);
-         it != by_capability_.end(); ++it) {
-      for (const NodeInfo* node : it->second) {
-        if (probe(node)) return node;
-      }
-    }
-    return nullptr;
-  }
-  for (auto it = free_buckets_.lower_bound(gpu_count);
-       it != free_buckets_.end(); ++it) {
-    for (const NodeInfo* node : it->second) {
-      if (probe(node)) return node;
-    }
-  }
-  return nullptr;
-}
-
-const NodeInfo* ClusterView::first_fractional_candidate(
-    double memory_gb, double min_compute_capability,
-    const std::string* owner_group, const NodePredicate& pred) {
-  refresh();
-  auto probe = [&](const NodeInfo* node) -> bool {
-    ++candidates_examined_;
-    if (node->slots_per_gpu <= 1) return false;
-    if (node->free_shared_slots <= 0 && node->free_gpus <= 0) return false;
-    if (memory_gb > node->share_memory_cap_gb) return false;
-    if (node->compute_capability < min_compute_capability) return false;
-    return pred(*node);
-  };
-  if (owner_group != nullptr) {
-    auto group = by_group_.find(*owner_group);
-    if (group == by_group_.end()) return nullptr;
-    for (const NodeInfo* node : group->second) {
-      if (probe(node)) return node;
-    }
-    return nullptr;
-  }
-  for (const NodeInfo* node : slot_nodes_) {
-    if (probe(node)) return node;
-  }
-  for (const auto& [free, bucket] : free_buckets_) {
-    for (const NodeInfo* node : bucket) {
-      if (node->free_shared_slots > 0 && node->slots_per_gpu > 1) {
-        continue;  // already probed from the slot set
-      }
-      if (probe(node)) return node;
-    }
-  }
-  return nullptr;
-}
-
-const NodeInfo* ClusterView::first_timeslice_candidate(
-    double working_set_gb, double min_compute_capability,
-    const std::string* owner_group, const NodePredicate& pred) {
-  refresh();
-  auto probe = [&](const NodeInfo* node) -> bool {
-    ++candidates_examined_;
-    if (node->timeslice_tenants_per_gpu <= 1) return false;
-    if (node->free_timeslice_slots <= 0 && node->free_gpus <= 0) return false;
-    if (working_set_gb > node->gpu_memory_gb) return false;
-    if (node->compute_capability < min_compute_capability) return false;
-    return pred(*node);
-  };
-  if (owner_group != nullptr) {
-    auto group = by_group_.find(*owner_group);
-    if (group == by_group_.end()) return nullptr;
-    for (const NodeInfo* node : group->second) {
-      if (probe(node)) return node;
-    }
-    return nullptr;
-  }
-  for (const NodeInfo* node : timeslice_nodes_) {
-    if (probe(node)) return node;
-  }
-  for (const auto& [free, bucket] : free_buckets_) {
-    for (const NodeInfo* node : bucket) {
-      if (node->free_timeslice_slots > 0 &&
-          node->timeslice_tenants_per_gpu > 1) {
-        continue;  // already probed from the seat set
-      }
-      if (probe(node)) return node;
-    }
-  }
-  return nullptr;
-}
-
-int ClusterView::total_free_gpus() {
-  refresh();
-  return sum_free_gpus_;
+  CandidateSet set = make_set();
+  add_segment(set, {{&timeslice_nodes_, false},
+                    {by_memory_.at_least(working_set_gb), false},
+                    {by_capability_.at_least(min_compute_capability), false},
+                    {group_nodes(owner_group), false}});
+  return set;
 }
 
 CapacitySummary ClusterView::summary() {
   refresh();
   CapacitySummary out;
-  out.schedulable_nodes = static_cast<int>(entries_.size());
+  out.schedulable_nodes = schedulable_;
   out.free_gpus = sum_free_gpus_;
   out.free_shared_slots = sum_free_slots_;
   out.free_timeslice_slots = sum_free_timeslice_;
@@ -350,12 +342,18 @@ CapacitySummary ClusterView::summary() {
 // Directory
 // ---------------------------------------------------------------------------
 
-NodeInfo& Directory::upsert(NodeInfo info) {
-  view_.mark_dirty(info.machine_id);
+const NodeInfo& Directory::upsert(NodeInfo info) {
   total_gpus_ += info.gpu_count;
   bool may_shrink_envelope = false;
-  if (auto existing = nodes_.find(info.machine_id); existing != nodes_.end()) {
-    const NodeInfo& old = existing->second;
+  auto [id, inserted] = ids_.try_emplace(info.machine_id,
+                                         static_cast<NodeHandle>(nodes_.size()));
+  const NodeHandle handle = id->second;
+  info.handle = handle;
+  if (inserted) {
+    nodes_.push_back(std::move(info));
+    view_.add_node(handle);
+  } else {
+    const NodeInfo& old = nodes_[handle];
     total_gpus_ -= old.gpu_count;
     // Re-registration with smaller hardware may have been holding an
     // envelope maximum; rescan below (rare — hardware swaps, not churn).
@@ -365,129 +363,122 @@ NodeInfo& Directory::upsert(NodeInfo info) {
          info.gpu_memory_gb < old.gpu_memory_gb) ||
         (old.compute_capability >= max_compute_capability_ &&
          info.compute_capability < old.compute_capability);
+    nodes_[handle] = std::move(info);
+    view_.mark_dirty(handle);
   }
-  auto [it, inserted] = nodes_.insert_or_assign(info.machine_id,
-                                                std::move(info));
+  auto widen_envelope = [this](const NodeInfo& node) {
+    max_node_gpus_ = std::max(max_node_gpus_, node.gpu_count);
+    max_gpu_memory_gb_ = std::max(max_gpu_memory_gb_, node.gpu_memory_gb);
+    max_compute_capability_ =
+        std::max(max_compute_capability_, node.compute_capability);
+  };
   if (may_shrink_envelope) {
     max_node_gpus_ = 0;
     max_gpu_memory_gb_ = 0;
     max_compute_capability_ = 0;
-    for (const auto& [id, node] : nodes_) {
-      max_node_gpus_ = std::max(max_node_gpus_, node.gpu_count);
-      max_gpu_memory_gb_ = std::max(max_gpu_memory_gb_, node.gpu_memory_gb);
-      max_compute_capability_ =
-          std::max(max_compute_capability_, node.compute_capability);
-    }
+    for (const NodeInfo& node : nodes_) widen_envelope(node);
   } else {
-    max_node_gpus_ = std::max(max_node_gpus_, it->second.gpu_count);
-    max_gpu_memory_gb_ =
-        std::max(max_gpu_memory_gb_, it->second.gpu_memory_gb);
-    max_compute_capability_ =
-        std::max(max_compute_capability_, it->second.compute_capability);
+    widen_envelope(nodes_[handle]);
   }
-  return it->second;
+  return nodes_[handle];
 }
 
 void Directory::clear() {
-  view_.clear();  // before the node map: its indexes point into it
+  view_.clear();
   nodes_.clear();
+  ids_.clear();
   total_gpus_ = 0;
   max_node_gpus_ = 0;
   max_gpu_memory_gb_ = 0;
   max_compute_capability_ = 0;
 }
 
-NodeInfo* Directory::find(const std::string& machine_id) {
-  auto it = nodes_.find(machine_id);
-  if (it == nodes_.end()) return nullptr;
-  view_.mark_dirty(machine_id);  // caller may mutate scheduling fields
-  return &it->second;
+NodeHandle Directory::handle_of(const std::string& machine_id) const {
+  auto it = ids_.find(machine_id);
+  return it == ids_.end() ? kNoNode : it->second;
 }
 
 const NodeInfo* Directory::find(const std::string& machine_id) const {
-  auto it = nodes_.find(machine_id);
-  return it == nodes_.end() ? nullptr : &it->second;
-}
-
-std::vector<const NodeInfo*> Directory::schedulable() const {
-  std::vector<const NodeInfo*> out;
-  for (const auto& [id, node] : nodes_) {
-    if (node.schedulable()) out.push_back(&node);
-  }
-  return out;
+  const NodeHandle handle = handle_of(machine_id);
+  return handle == kNoNode ? nullptr : &nodes_[handle];
 }
 
 std::vector<const NodeInfo*> Directory::all() const {
   std::vector<const NodeInfo*> out;
   out.reserve(nodes_.size());
-  for (const auto& [id, node] : nodes_) out.push_back(&node);
+  for (const NodeInfo& node : nodes_) out.push_back(&node);
+  std::sort(out.begin(), out.end(), [](const NodeInfo* a, const NodeInfo* b) {
+    return a->machine_id < b->machine_id;
+  });
   return out;
 }
 
 void Directory::reserve_gpus(const std::string& machine_id, int count) {
-  if (NodeInfo* node = find(machine_id)) {
-    node->free_gpus = std::clamp(node->free_gpus - count, 0, node->gpu_count);
-  }
+  update(machine_id, [count](NodeInfo& node) {
+    node.free_gpus = std::clamp(node.free_gpus - count, 0, node.gpu_count);
+  });
 }
 
 void Directory::release_gpus(const std::string& machine_id, int count) {
-  if (NodeInfo* node = find(machine_id)) {
-    node->free_gpus = std::clamp(node->free_gpus + count, 0, node->gpu_count);
-  }
+  update(machine_id, [count](NodeInfo& node) {
+    node.free_gpus = std::clamp(node.free_gpus + count, 0, node.gpu_count);
+  });
 }
 
+namespace {
+
+/// Takes one shared unit (slot or seat): a free one on an already-shared
+/// device when available, otherwise a fully-free GPU is opened in that mode
+/// — one unit taken now, the rest free for future tenants.
+bool take_shared_unit(NodeInfo& node, int per_gpu, int NodeInfo::*free_units) {
+  if (per_gpu <= 1) return false;
+  if (node.*free_units > 0) {
+    --(node.*free_units);
+    return true;
+  }
+  if (node.free_gpus <= 0) return false;
+  --node.free_gpus;
+  node.*free_units += per_gpu - 1;
+  return true;
+}
+
+/// Returns one shared unit, clamped to the units of the non-free devices.
+void return_shared_unit(NodeInfo& node, int per_gpu, int NodeInfo::*free_units) {
+  const int capacity = (node.gpu_count - node.free_gpus) * std::max(1, per_gpu);
+  node.*free_units = std::clamp(node.*free_units + 1, 0, capacity);
+}
+
+}  // namespace
+
 bool Directory::reserve_slot(const std::string& machine_id) {
-  NodeInfo* node = find(machine_id);
-  if (node == nullptr || node->slots_per_gpu <= 1) return false;
-  if (node->free_shared_slots > 0) {
-    --node->free_shared_slots;
-    return true;
-  }
-  if (node->free_gpus > 0) {
-    // Open a fully-free GPU in shared mode: one slot taken now, the rest
-    // become available to future fractional tenants.
-    --node->free_gpus;
-    node->free_shared_slots += node->slots_per_gpu - 1;
-    return true;
-  }
-  return false;
+  bool taken = false;
+  update(machine_id, [&taken](NodeInfo& node) {
+    taken = take_shared_unit(node, node.slots_per_gpu,
+                             &NodeInfo::free_shared_slots);
+  });
+  return taken;
 }
 
 void Directory::release_slot(const std::string& machine_id) {
-  NodeInfo* node = find(machine_id);
-  if (node == nullptr) return;
-  const int slot_capacity =
-      node->gpu_count * std::max(1, node->slots_per_gpu) -
-      node->free_gpus * std::max(1, node->slots_per_gpu);
-  node->free_shared_slots =
-      std::clamp(node->free_shared_slots + 1, 0, slot_capacity);
+  update(machine_id, [](NodeInfo& node) {
+    return_shared_unit(node, node.slots_per_gpu, &NodeInfo::free_shared_slots);
+  });
 }
 
 bool Directory::reserve_timeslice_slot(const std::string& machine_id) {
-  NodeInfo* node = find(machine_id);
-  if (node == nullptr || node->timeslice_tenants_per_gpu <= 1) return false;
-  if (node->free_timeslice_slots > 0) {
-    --node->free_timeslice_slots;
-    return true;
-  }
-  if (node->free_gpus > 0) {
-    // Open a fully-free GPU in time-slice mode: one seat taken now, the
-    // rest become available to future time-sliced tenants.
-    --node->free_gpus;
-    node->free_timeslice_slots += node->timeslice_tenants_per_gpu - 1;
-    return true;
-  }
-  return false;
+  bool taken = false;
+  update(machine_id, [&taken](NodeInfo& node) {
+    taken = take_shared_unit(node, node.timeslice_tenants_per_gpu,
+                             &NodeInfo::free_timeslice_slots);
+  });
+  return taken;
 }
 
 void Directory::release_timeslice_slot(const std::string& machine_id) {
-  NodeInfo* node = find(machine_id);
-  if (node == nullptr) return;
-  const int seats = std::max(1, node->timeslice_tenants_per_gpu);
-  const int seat_capacity =
-      node->gpu_count * seats - node->free_gpus * seats;
-  node->free_timeslice_slots =
-      std::clamp(node->free_timeslice_slots + 1, 0, seat_capacity);
+  update(machine_id, [](NodeInfo& node) {
+    return_shared_unit(node, node.timeslice_tenants_per_gpu,
+                       &NodeInfo::free_timeslice_slots);
+  });
 }
 
 CapacitySummary Directory::capacity_summary() {

@@ -7,18 +7,26 @@
 // corrected by dispatch results and heartbeats, so the coordinator never
 // double-books capacity while a dispatch is in flight.
 //
-// ClusterView maintains secondary indexes (free-capacity buckets, per-group
-// and per-capability sets, a shared-slot set) so the placement engine
-// generates candidates in O(dirty + matches) instead of rescanning every
-// node for every pending job on every pass.  Mutations mark nodes dirty;
-// indexes are repaired lazily on the next query.
+// Every registered node gets a dense NodeHandle once, at its first
+// registration; the machine id is resolved to it at the edge (one map
+// lookup) and every layer behind that indexes by integer.  ClusterView
+// keeps its indexes as bitsets over machine-id *ranks*, so a placement
+// query is a handful of word-wise ANDs and walking the set bits yields
+// nodes in machine-id order — no per-query sort, no per-node rescans.
+// Mutations mark nodes dirty; indexes are repaired lazily on the next query.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <functional>
+#include <deque>
+#include <initializer_list>
+#include <iterator>
+#include <limits>
 #include <map>
-#include <set>
 #include <string>
+#include <tuple>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "db/database.h"
@@ -26,8 +34,13 @@
 
 namespace gpunion::sched {
 
+/// Dense per-directory node index, stable across re-registrations.
+using NodeHandle = std::uint32_t;
+inline constexpr NodeHandle kNoNode = std::numeric_limits<NodeHandle>::max();
+
 struct NodeInfo {
   std::string machine_id;
+  NodeHandle handle = kNoNode;  // assigned by Directory::upsert
   std::string hostname;
   std::string owner_group;
   std::string gpu_model;
@@ -87,75 +100,142 @@ struct CapacitySummary {
   double max_compute_capability = 0;
 };
 
-/// Secondary indexes over the directory, maintained incrementally via
-/// dirty-node invalidation.  Candidate lists are deterministic
-/// (machine-id order) for reproducible placement.
+/// Growable bitset over machine-id ranks (bit r = the node ranked r).
+class RankBitset {
+ public:
+  void set(std::uint32_t rank);
+  void reset(std::uint32_t rank);
+  std::uint64_t word(std::size_t w) const {
+    return w < words_.size() ? words_[w] : 0;
+  }
+  void clear() { words_.clear(); }
+
+ private:
+  std::vector<std::uint64_t> words_;
+};
+
+class ClusterView;
+
+/// A lazily evaluated, ordered set of placement candidates: segments, each
+/// the AND of a few rank bitsets (some complemented), walked in turn and in
+/// machine-id order within.  size() and nth() are popcount walks, so a
+/// round-robin pick costs O(fleet / 64) word operations and reaches one
+/// node; every node reached counts in candidates_examined().  A set built
+/// from a node list (tests, filtered()) iterates that list.  Valid until
+/// the directory is next mutated or queried.
+class CandidateSet {
+ public:
+  CandidateSet() = default;
+  /// An explicit list (implicit: strategies accept a plain vector).
+  CandidateSet(std::vector<const NodeInfo*> nodes)
+      : list_(std::move(nodes)) {}
+
+  class iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = const NodeInfo*;
+    using difference_type = std::ptrdiff_t;
+    using reference = const NodeInfo*;
+
+    const NodeInfo* operator*() const;
+    iterator& operator++();
+    bool operator==(const iterator& other) const {
+      return segment_ == other.segment_ && word_ == other.word_ &&
+             bits_ == other.bits_;
+    }
+
+   private:
+    friend class CandidateSet;
+    /// Moves to the next set bit at or after the current position.
+    void settle();
+    const CandidateSet* set_ = nullptr;
+    std::size_t segment_ = 0;
+    std::size_t word_ = 0;  // word index (lazy) or list position (explicit)
+    std::uint64_t bits_ = 0;
+    const NodeInfo* node_ = nullptr;  // lazy: the member at the lowest bit
+  };
+
+  iterator begin() const;
+  iterator end() const;
+  std::size_t size() const;
+  bool empty() const { return size() == 0; }
+  /// The k-th node in set order; nullptr when k >= size().
+  const NodeInfo* nth(std::size_t k) const;
+  /// The members passing `keep`, materialized in set order.
+  template <typename Pred>
+  CandidateSet filtered(Pred keep) const {
+    std::vector<const NodeInfo*> kept;
+    for (const NodeInfo* node : *this) {
+      if (keep(*node)) kept.push_back(node);
+    }
+    return CandidateSet(std::move(kept));
+  }
+
+ private:
+  friend class ClusterView;
+  static constexpr std::size_t kMaxTerms = 4;
+  struct Segment {
+    std::array<const RankBitset*, kMaxTerms> terms{};
+    std::uint32_t negated = 0;  // bit i: term i is complemented
+    std::size_t terms_used = 0;
+  };
+  bool lazy() const { return view_ != nullptr; }
+  std::uint64_t word(const Segment& segment, std::size_t w) const;
+  /// The node at bit `bit` of word `w`; counts it as examined.
+  const NodeInfo* at(std::size_t w, int bit) const;
+
+  const ClusterView* view_ = nullptr;  // null: explicit list
+  std::vector<Segment> segments_;
+  std::size_t words_ = 0;
+  std::vector<const NodeInfo*> list_;
+  mutable std::size_t size_ = std::numeric_limits<std::size_t>::max();
+};
+
+/// Secondary indexes over the directory as rank bitsets, maintained
+/// incrementally via dirty-node invalidation.  Query results are
+/// deterministic: ordered as documented per query, machine-id order within.
 class ClusterView {
  public:
-  explicit ClusterView(const std::map<std::string, NodeInfo>& nodes)
-      : nodes_(nodes) {}
+  explicit ClusterView(const std::deque<NodeInfo>& nodes) : nodes_(nodes) {}
 
   /// Marks one node's index entries stale (re-indexed on the next query).
-  void mark_dirty(const std::string& machine_id);
+  void mark_dirty(NodeHandle handle);
+  /// Files a new handle.  An id sorting before an existing one invalidates
+  /// the ranks; the next query rebuilds them in one sort.
+  void add_node(NodeHandle handle);
 
-  /// Drops every index entry and running counter (coordinator crash: the
-  /// node map is about to be emptied, so the pointer-keyed sets must go
-  /// first).  Work counters (reindexed/examined) survive — they describe
-  /// lifetime work, not current state.
+  /// Drops every index entry and running counter (coordinator crash).
+  /// Work counters (reindexed/examined) survive — they describe lifetime
+  /// work, not current state.
   void clear();
 
-  /// Schedulable nodes with >= `gpu_count` fully-free GPUs.  When
-  /// `owner_group` is non-null only that group's nodes are returned.
-  std::vector<const NodeInfo*> whole_gpu_candidates(
-      int gpu_count, double min_memory_gb, double min_compute_capability,
-      const std::string* owner_group);
+  /// Schedulable nodes with >= `gpu_count` fully-free GPUs of at least
+  /// `min_memory_gb` and `min_compute_capability`.  Without a group: by
+  /// ascending free-GPU count, then machine id; with `owner_group`: that
+  /// group's nodes in machine-id order.
+  CandidateSet whole_gpu(int gpu_count, double min_memory_gb,
+                         double min_compute_capability,
+                         const std::string* owner_group);
 
   /// Schedulable nodes able to host one fractional tenant of `memory_gb`:
   /// sharing enabled, the per-tenant cap honoured, and either a free slot
-  /// on a shared GPU or a fully-free GPU to open in shared mode.
-  std::vector<const NodeInfo*> fractional_candidates(
-      double memory_gb, double min_compute_capability,
-      const std::string* owner_group);
+  /// on a shared GPU or a fully-free GPU to open in shared mode.  Machine-id
+  /// order (the sharing strategies rank by slots, VRAM fit and id).
+  CandidateSet fractional(double memory_gb, double min_compute_capability,
+                          const std::string* owner_group);
 
   /// Schedulable nodes able to host one time-sliced tenant of
   /// `working_set_gb`: time-slicing enabled, the working set fits in VRAM,
   /// and either a free seat on a sliced GPU or a fully-free GPU to open in
-  /// time-slice mode.  (The oversubscription-ratio ceiling is per device,
-  /// so it is enforced by the agent's node model at dispatch.)
-  std::vector<const NodeInfo*> timeslice_candidates(
-      double working_set_gb, double min_compute_capability,
-      const std::string* owner_group);
+  /// time-slice mode.  Machine-id order.  (The oversubscription ceiling is
+  /// per device, so the agent's node model enforces it.)
+  CandidateSet timeslice(double working_set_gb, double min_compute_capability,
+                         const std::string* owner_group);
 
-  /// Extra gating an existence probe applies on top of the index filters
-  /// (the full placement predicate, including the degradation rule).
-  using NodePredicate = std::function<bool(const NodeInfo&)>;
-
-  /// Existence probes: the first node (same index walk as the enumerating
-  /// queries) passing both the index filters and `pred`, or nullptr.
-  /// Stops examining on the first hit — O(1) on a fleet with free capacity
-  /// instead of materializing the full candidate vector just to test
-  /// emptiness (the gateway's admission / forward-scan path).
-  const NodeInfo* first_whole_gpu_candidate(int gpu_count,
-                                            double min_memory_gb,
-                                            double min_compute_capability,
-                                            const std::string* owner_group,
-                                            const NodePredicate& pred);
-  const NodeInfo* first_fractional_candidate(double memory_gb,
-                                             double min_compute_capability,
-                                             const std::string* owner_group,
-                                             const NodePredicate& pred);
-  const NodeInfo* first_timeslice_candidate(double working_set_gb,
-                                            double min_compute_capability,
-                                            const std::string* owner_group,
-                                            const NodePredicate& pred);
-
-  /// Nodes examined by candidate generation and existence probes since
-  /// construction (the early-exit regression probe: an existence check on
-  /// a fleet with free capacity must advance this by O(1), not O(nodes)).
+  /// Nodes reached through candidate sets since construction (the work
+  /// bound: a round-robin pick or an existence probe on a fleet with free
+  /// capacity advances this by O(1), not O(nodes)).
   std::uint64_t candidates_examined() const { return candidates_examined_; }
-
-  /// Fully-free whole GPUs across schedulable nodes (running counter; O(dirty)).
-  int total_free_gpus();
 
   /// Schedulable-fleet aggregates from the running counters the indexes
   /// already maintain: O(dirty) repair, then O(1).  Node/GPU totals are
@@ -167,54 +247,76 @@ class ClusterView {
   std::uint64_t reindexed_nodes() const { return reindexed_nodes_; }
 
  private:
-  struct ByIdLess {
-    bool operator()(const NodeInfo* a, const NodeInfo* b) const {
-      return a->machine_id < b->machine_id;
-    }
-  };
-  using NodeSet = std::set<const NodeInfo*, ByIdLess>;
+  friend class CandidateSet;
 
-  /// Index keys a node was filed under (needed for removal on change).
-  /// `ptr` is stable: directory entries are never deallocated while indexed.
+  /// One bitset per distinct value seen, of the nodes whose value is >= it:
+  /// a threshold filter (VRAM >= 40 GB, CC >= 8.0) is one lookup and one
+  /// AND.  Keys are few (distinct hardware values).
+  class AtLeastIndex {
+   public:
+    void insert(double value, std::uint32_t rank);
+    void erase(double value, std::uint32_t rank);
+    /// Nodes with value >= min; nullptr when no node can qualify.
+    const RankBitset* at_least(double min) const;
+    void clear() { sets_.clear(); }
+
+   private:
+    std::map<double, RankBitset> sets_;
+  };
+
+  /// Keys one node is filed under (needed for removal on change).
   struct IndexEntry {
-    const NodeInfo* ptr = nullptr;
-    int free_bucket = -1;  // -1: not in any free bucket
-    bool in_slot_set = false;
-    bool in_timeslice_set = false;
-    std::string group;
-    double capability = 0;
+    std::uint32_t rank = 0;
+    bool dirty = false;    // queued in dirty_
+    bool indexed = false;  // schedulable when last indexed
+    int free_gpus = 0;     // filed in free_at_least_[0..free_gpus]
+    bool shares = false;      // filed in by_share_cap_
+    bool fractional = false;  // filed in fractional_nodes_
+    bool timeslice = false;   // filed in timeslice_nodes_
+    RankBitset* group = nullptr;
+    double capability = 0, memory = 0, share_cap = 0;
     // Contributions to the capacity-summary counters (subtracted on
     // unindex, so the counters never need a rescan).
-    int counted_free_gpus = 0;
     int counted_free_slots = 0;
     int counted_free_timeslice = 0;
   };
 
   void refresh();
-  void unindex(const std::string& machine_id);
-  void index(const NodeInfo& node);
-  /// Query planner shared by the enumerating query and the existence
-  /// probe: true when the capability range admits fewer nodes than the
-  /// free buckets.  Both paths MUST use it — walking different indexes
-  /// lets them disagree about a node indexed under stale keys (mutated
-  /// via a cached Directory::find() pointer after the last refresh).
-  bool prefer_capability_walk(int gpu_count,
-                              double min_compute_capability) const;
+  void unindex(IndexEntry& entry);
+  void index(const NodeInfo& node, IndexEntry& entry);
+  CandidateSet make_set() const;
+  /// Appends the AND of `terms`, each {bitset, complemented}.  A null plain
+  /// term empties the segment (skipped); a null complemented one is dropped.
+  static void add_segment(
+      CandidateSet& set,
+      std::initializer_list<std::pair<const RankBitset*, bool>> terms);
+  /// free_at_least_[count], or null when no node has that many free.
+  const RankBitset* free_at_least(int count) const;
+  /// The group's schedulable nodes (every one when `group` is null); null
+  /// for an unknown group.
+  const RankBitset* group_nodes(const std::string* group) const;
 
-  const std::map<std::string, NodeInfo>& nodes_;
-  // free whole GPUs -> schedulable nodes with exactly that many free
-  std::map<int, NodeSet> free_buckets_;
-  // schedulable nodes with a free slot on an already-shared GPU
-  NodeSet slot_nodes_;
-  // schedulable nodes with a free seat on an already-time-sliced GPU
-  NodeSet timeslice_nodes_;
-  std::map<std::string, NodeSet> by_group_;       // schedulable only
-  std::map<double, NodeSet> by_capability_;       // schedulable only
-  std::map<std::string, IndexEntry> entries_;
-  std::set<std::string> dirty_;
+  const std::deque<NodeInfo>& nodes_;
+  std::vector<IndexEntry> entries_;  // by handle
+  std::vector<NodeHandle> by_rank_;
+  bool ranks_stale_ = false;
+  std::vector<NodeHandle> dirty_;
+
+  // free_at_least_[k]: schedulable nodes with >= k fully-free GPUs
+  // ([0] = every schedulable node).
+  std::vector<RankBitset> free_at_least_;
+  // Sharing on and a free slot (seat) or a free GPU to open in that mode.
+  RankBitset fractional_nodes_;
+  RankBitset timeslice_nodes_;
+  std::map<std::string, RankBitset> by_group_;
+  AtLeastIndex by_capability_;
+  AtLeastIndex by_memory_;
+  AtLeastIndex by_share_cap_;  // sharing-enabled nodes only
+
   std::uint64_t reindexed_nodes_ = 0;
-  std::uint64_t candidates_examined_ = 0;
+  mutable std::uint64_t candidates_examined_ = 0;
   // Running schedulable-fleet aggregates (see summary()).
+  int schedulable_ = 0;
   int sum_free_gpus_ = 0;
   int sum_free_slots_ = 0;
   int sum_free_timeslice_ = 0;
@@ -224,20 +326,37 @@ class Directory {
  public:
   Directory() : view_(nodes_) {}
 
-  // The view indexes the node map by reference; pin the object.
+  // The view indexes the node table by reference; pin the object.
   Directory(const Directory&) = delete;
   Directory& operator=(const Directory&) = delete;
 
-  /// Inserts or updates; returns the stored entry.
-  NodeInfo& upsert(NodeInfo info);
+  /// Inserts or updates; a re-registration keeps the node's handle.
+  const NodeInfo& upsert(NodeInfo info);
 
-  /// Mutable lookup: the caller may change scheduling-relevant fields, so
-  /// the node is marked dirty in the cluster view.
-  NodeInfo* find(const std::string& machine_id);
+  /// kNoNode when the id never registered.
+  NodeHandle handle_of(const std::string& machine_id) const;
   const NodeInfo* find(const std::string& machine_id) const;
+  const NodeInfo& node(NodeHandle handle) const { return nodes_[handle]; }
 
-  /// Nodes in kActive status that are accepting work.
-  std::vector<const NodeInfo*> schedulable() const;
+  /// The only way to change an entry after upsert().  The node is re-indexed
+  /// only when `mutate` changed a scheduling field (status, accepting, free
+  /// counts): a beat confirming the current state costs the view nothing.
+  template <typename F>
+  void update(NodeHandle handle, F&& mutate) {
+    NodeInfo& node = nodes_[handle];
+    const auto before = scheduling_fields(node);
+    mutate(node);
+    if (scheduling_fields(node) != before) view_.mark_dirty(handle);
+  }
+  /// update() by id; false for unknown ids.
+  template <typename F>
+  bool update(const std::string& machine_id, F&& mutate) {
+    const NodeHandle handle = handle_of(machine_id);
+    if (handle == kNoNode) return false;
+    update(handle, std::forward<F>(mutate));
+    return true;
+  }
+
   /// All nodes, machine-id order.
   std::vector<const NodeInfo*> all() const;
 
@@ -263,9 +382,8 @@ class Directory {
   /// reconcile a device emptying back into the whole-GPU pool).
   void release_timeslice_slot(const std::string& machine_id);
 
-  /// Forgets every node (simulated coordinator crash; the in-memory view
-  /// is rebuilt from the durable registry on recovery).  The cluster view
-  /// is cleared first — its indexes hold pointers into the node map.
+  /// Forgets every node and handle (simulated coordinator crash; the
+  /// in-memory view is rebuilt from the durable registry on recovery).
   void clear();
 
   std::size_t size() const { return nodes_.size(); }
@@ -279,7 +397,12 @@ class Directory {
   ClusterView& view() { return view_; }
 
  private:
-  std::map<std::string, NodeInfo> nodes_;  // ordered for determinism
+  static auto scheduling_fields(const NodeInfo& node) {
+    return std::make_tuple(node.status, node.accepting, node.free_gpus,
+                           node.free_shared_slots, node.free_timeslice_slots);
+  }
+  std::deque<NodeInfo> nodes_;  // by handle; a deque keeps entries in place
+  std::unordered_map<std::string, NodeHandle> ids_;  // the edge
   ClusterView view_;
   int total_gpus_ = 0;  // maintained by upsert
   // Hardware envelope (see CapacitySummary).

@@ -1,10 +1,13 @@
 #include "sched/heartbeat_monitor.h"
 
+#include <algorithm>
+
 #include "util/logging.h"
 
 namespace gpunion::sched {
 
-HeartbeatMonitor::HeartbeatMonitor(sim::Environment& env, Directory& directory,
+HeartbeatMonitor::HeartbeatMonitor(sim::Environment& env,
+                                   const Directory& directory,
                                    util::Duration heartbeat_interval,
                                    int miss_threshold, OnNodeLost on_node_lost,
                                    sim::LaneId lane)
@@ -15,51 +18,48 @@ HeartbeatMonitor::HeartbeatMonitor(sim::Environment& env, Directory& directory,
       on_node_lost_(std::move(on_node_lost)),
       timer_(env, heartbeat_interval, [this] { sweep(); }, lane) {}
 
-void HeartbeatMonitor::observe(const std::string& machine_id,
-                               util::SimTime at) {
-  auto it = last_seen_.find(machine_id);
-  if (it != last_seen_.end()) {
-    if (at <= it->second) return;  // stale observation; newest wins
-    by_expiry_.erase({it->second, machine_id});
-    it->second = at;
-  } else {
-    last_seen_.emplace(machine_id, at);
-  }
-  by_expiry_.insert({at, machine_id});
+void HeartbeatMonitor::observe(NodeHandle handle, util::SimTime at) {
+  if (handle >= last_seen_.size()) last_seen_.resize(handle + 1, kUntracked);
+  util::SimTime& last = last_seen_[handle];
+  if (at <= last) return;  // stale observation; newest wins
+  if (last != kUntracked) by_expiry_.erase({last, handle});
+  last = at;
+  by_expiry_.insert({at, handle});
 }
 
-void HeartbeatMonitor::forget(const std::string& machine_id) {
-  auto it = last_seen_.find(machine_id);
-  if (it == last_seen_.end()) return;
-  by_expiry_.erase({it->second, machine_id});
-  last_seen_.erase(it);
+void HeartbeatMonitor::forget(NodeHandle handle) {
+  if (handle >= last_seen_.size() || last_seen_[handle] == kUntracked) return;
+  by_expiry_.erase({last_seen_[handle], handle});
+  last_seen_[handle] = kUntracked;
 }
 
 std::vector<std::string> HeartbeatMonitor::sweep() {
-  std::vector<std::string> lost;
   const util::SimTime now = env_.now();
   ++sweeps_;
   last_sweep_examined_ = 0;
+  std::vector<std::pair<util::SimTime, std::string>> expired;
   while (!by_expiry_.empty()) {
-    const auto& [last_beat, machine_id] = *by_expiry_.begin();
+    const auto [last_beat, handle] = *by_expiry_.begin();
     if (now - last_beat <= detection_deadline()) break;  // rest are fresher
     ++last_sweep_examined_;
     ++total_examined_;
-    const std::string id = machine_id;  // keep past the erase
-    last_seen_.erase(id);
+    last_seen_[handle] = kUntracked;
     by_expiry_.erase(by_expiry_.begin());
-    const NodeInfo* node =
-        static_cast<const Directory&>(directory_).find(id);
-    if (node == nullptr || node->status != db::NodeStatus::kActive) {
+    const NodeInfo& node = directory_.node(handle);
+    if (node.status != db::NodeStatus::kActive) {
       continue;  // loss already handled (departure notice etc.)
     }
-    lost.push_back(id);
+    expired.emplace_back(last_beat, node.machine_id);
   }
-  for (const auto& machine_id : lost) {
+  // Simultaneous expiries are reported in machine-id order, not by handle.
+  std::sort(expired.begin(), expired.end());
+  std::vector<std::string> lost;
+  for (auto& [last_beat, machine_id] : expired) {
     GPUNION_ILOG("hb-monitor")
         << machine_id << " missed " << miss_threshold_
         << " heartbeats; marking unavailable";
     if (on_node_lost_) on_node_lost_(machine_id);
+    lost.push_back(std::move(machine_id));
   }
   return lost;
 }

@@ -7,7 +7,7 @@
 // dominant term in emergency-departure downtime (Fig. 3).
 //
 // The monitor keeps tracked nodes in an expiry-ordered set keyed by
-// (last_heartbeat, machine_id).  A sweep pops entries from the front only
+// (last_heartbeat, node handle).  A sweep pops entries from the front only
 // while they are actually past the deadline, so its cost is
 // O(expired log n) instead of O(fleet) — the §5.2 "heartbeat monitoring
 // beyond 200 nodes" bottleneck.  The coordinator feeds the ordering through
@@ -16,9 +16,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -32,20 +32,20 @@ class HeartbeatMonitor {
   using OnNodeLost = std::function<void(const std::string& machine_id)>;
 
   /// `lane`: actor lane the sweep timer fires on (the coordinator's lane).
-  HeartbeatMonitor(sim::Environment& env, Directory& directory,
+  HeartbeatMonitor(sim::Environment& env, const Directory& directory,
                    util::Duration heartbeat_interval, int miss_threshold,
                    OnNodeLost on_node_lost, sim::LaneId lane = sim::kMainLane);
 
   void start() { timer_.start(); }
   void stop() { timer_.stop(); }
 
-  /// Records a heartbeat (or registration) from `machine_id` at time `at`.
-  /// Re-files the node in the expiry order; beats arriving out of node
-  /// order are handled — only the newest observation counts.
-  void observe(const std::string& machine_id, util::SimTime at);
+  /// Records a heartbeat (or registration) from directory node `handle`
+  /// at time `at`.  Re-files the node in the expiry order; beats arriving
+  /// out of node order are handled — only the newest observation counts.
+  void observe(NodeHandle handle, util::SimTime at);
 
   /// Stops tracking a node (announced departure / already handled loss).
-  void forget(const std::string& machine_id);
+  void forget(NodeHandle handle);
 
   /// Drops all tracked nodes (coordinator crash).  Recovery re-observes
   /// the fleet, giving every node a fresh detection window — a node that
@@ -58,7 +58,7 @@ class HeartbeatMonitor {
   /// One sweep (also called by the timer).  Pops only entries past the
   /// detection deadline; nodes no longer kActive in the directory are
   /// dropped silently (their loss was already handled through another
-  /// path).  Returns nodes newly lost.
+  /// path).  Returns nodes newly lost, by (last beat, machine id).
   std::vector<std::string> sweep();
 
   util::Duration detection_deadline() const {
@@ -76,16 +76,19 @@ class HeartbeatMonitor {
 
  private:
   sim::Environment& env_;
-  Directory& directory_;
+  const Directory& directory_;
   util::Duration heartbeat_interval_;
   int miss_threshold_;
   OnNodeLost on_node_lost_;
   sim::PeriodicTimer timer_;
 
-  // Expiry order: earliest last-heartbeat first; id tiebreak keeps
+  static constexpr util::SimTime kUntracked =
+      -std::numeric_limits<util::SimTime>::infinity();
+
+  // Expiry order: earliest last-heartbeat first; the handle tiebreak keeps
   // simultaneous observations deterministic.
-  std::set<std::pair<util::SimTime, std::string>> by_expiry_;
-  std::unordered_map<std::string, util::SimTime> last_seen_;
+  std::set<std::pair<util::SimTime, NodeHandle>> by_expiry_;
+  std::vector<util::SimTime> last_seen_;  // by handle; kUntracked if not
   std::size_t last_sweep_examined_ = 0;
   std::uint64_t total_examined_ = 0;
   std::uint64_t sweeps_ = 0;

@@ -87,122 +87,98 @@ PlacementEngine::PlacementEngine(Directory& directory,
   }
 }
 
-std::vector<const NodeInfo*> PlacementEngine::eligible_candidates(
-    const workload::JobSpec& job, util::SimTime now, PlaceMode mode) {
+bool PlacementEngine::tries(const workload::JobSpec& job,
+                            PlaceMode mode) const {
+  if (mode == PlaceMode::kTimeslice) {
+    return policy_.timeslice_sharing && strategy_->wants_timeslice(job);
+  }
+  if (mode == PlaceMode::kFractional) {
+    return policy_.fractional_sharing && strategy_->wants_fractional(job);
+  }
+  return true;
+}
+
+CandidateSet PlacementEngine::candidates(const workload::JobSpec& job,
+                                         PlaceMode mode) {
   const std::string* group =
       policy_.cross_group_sharing ? nullptr : &job.owner_group;
   const auto& req = job.requirements;
-  std::vector<const NodeInfo*> candidates;
-  switch (mode) {
-    case PlaceMode::kTimeslice:
-      candidates = directory_.view().timeslice_candidates(
-          workload::resolved_working_set_gb(job), req.min_compute_capability,
-          group);
-      break;
-    case PlaceMode::kFractional:
-      candidates = directory_.view().fractional_candidates(
-          req.gpu_memory_gb, req.min_compute_capability, group);
-      break;
-    case PlaceMode::kWhole:
-      candidates = directory_.view().whole_gpu_candidates(
-          req.gpu_count, req.gpu_memory_gb, req.min_compute_capability,
-          group);
-      break;
+  ClusterView& view = directory_.view();
+  if (mode == PlaceMode::kTimeslice) {
+    return view.timeslice(workload::resolved_working_set_gb(job),
+                          req.min_compute_capability, group);
   }
-  // The view pre-filters on capacity/compatibility/group; re-check the full
-  // predicate (including the degradation rule) so index staleness bugs can
-  // never place a job somewhere invalid.
+  if (mode == PlaceMode::kFractional) {
+    return view.fractional(req.gpu_memory_gb, req.min_compute_capability,
+                           group);
+  }
+  return view.whole_gpu(req.gpu_count, req.gpu_memory_gb,
+                        req.min_compute_capability, group);
+}
+
+bool PlacementEngine::eligible(const NodeInfo& node,
+                               const workload::JobSpec& job, util::SimTime now,
+                               PlaceMode mode) const {
   const bool degrade = strategy_->enforce_degradation();
-  auto ineligible = [&](const NodeInfo* node) {
-    if (mode == PlaceMode::kTimeslice) {
-      if (!timeslice_eligible(*node, job, policy_.cross_group_sharing)) {
-        return true;
-      }
-      return degrade && !degradation_ok(*node, job, reliability_, now);
-    }
-    if (mode == PlaceMode::kFractional) {
-      if (!slot_eligible(*node, job, policy_.cross_group_sharing)) return true;
-      return degrade && !degradation_ok(*node, job, reliability_, now);
-    }
-    return !node_eligible(*node, job, policy_.cross_group_sharing,
-                          reliability_, now, degrade);
-  };
-  candidates.erase(
-      std::remove_if(candidates.begin(), candidates.end(), ineligible),
-      candidates.end());
-  return candidates;
+  if (mode == PlaceMode::kWhole) {
+    return node_eligible(node, job, policy_.cross_group_sharing, reliability_,
+                         now, degrade);
+  }
+  const bool fits =
+      mode == PlaceMode::kTimeslice
+          ? timeslice_eligible(node, job, policy_.cross_group_sharing)
+          : slot_eligible(node, job, policy_.cross_group_sharing);
+  return fits && (!degrade || degradation_ok(node, job, reliability_, now));
 }
 
 bool PlacementEngine::any_eligible(const workload::JobSpec& job,
                                    util::SimTime now) {
-  // Existence only: walk the same indexes as eligible_candidates but stop
-  // at the first node passing the FULL placement predicate, instead of
-  // materializing the candidate vector just to test emptiness.  On a fleet
-  // with free capacity this examines O(1) nodes — the gateway calls this
-  // per admission and per forward-scan probe, which used to cost
-  // O(free nodes) each (the ROADMAP-flagged inefficiency).
-  const std::string* group =
-      policy_.cross_group_sharing ? nullptr : &job.owner_group;
-  const auto& req = job.requirements;
-  const bool degrade = strategy_->enforce_degradation();
-  if (policy_.timeslice_sharing && strategy_->wants_timeslice(job)) {
-    auto seat_pred = [&](const NodeInfo& node) {
-      return timeslice_eligible(node, job, policy_.cross_group_sharing) &&
-             (!degrade || degradation_ok(node, job, reliability_, now));
-    };
-    if (directory_.view().first_timeslice_candidate(
-            workload::resolved_working_set_gb(job),
-            req.min_compute_capability, group, seat_pred) != nullptr) {
-      return true;
+  for (const PlaceMode mode : kModes) {
+    if (!tries(job, mode)) continue;
+    for (const NodeInfo* node : candidates(job, mode)) {
+      if (eligible(*node, job, now, mode)) return true;
     }
   }
-  if (policy_.fractional_sharing && strategy_->wants_fractional(job)) {
-    auto slot_pred = [&](const NodeInfo& node) {
-      return slot_eligible(node, job, policy_.cross_group_sharing) &&
-             (!degrade || degradation_ok(node, job, reliability_, now));
-    };
-    if (directory_.view().first_fractional_candidate(
-            req.gpu_memory_gb, req.min_compute_capability, group,
-            slot_pred) != nullptr) {
-      return true;
-    }
-  }
-  auto whole_pred = [&](const NodeInfo& node) {
-    return node_eligible(node, job, policy_.cross_group_sharing, reliability_,
-                         now, degrade);
-  };
-  return directory_.view().first_whole_gpu_candidate(
-             req.gpu_count, req.gpu_memory_gb, req.min_compute_capability,
-             group, whole_pred) != nullptr;
+  return false;
 }
 
 std::optional<PlacementDecision> PlacementEngine::place(
     const workload::JobSpec& job, const std::string& preferred_node,
     util::SimTime now) {
   PlacementContext context{&reliability_, now};
-
-  const bool try_timeslice =
-      policy_.timeslice_sharing && strategy_->wants_timeslice(job);
-  const bool try_fractional = policy_.fractional_sharing &&
-                              strategy_->wants_fractional(job);
-  for (const PlaceMode mode : {PlaceMode::kTimeslice, PlaceMode::kFractional,
-                               PlaceMode::kWhole}) {
-    if (mode == PlaceMode::kTimeslice && !try_timeslice) continue;
-    if (mode == PlaceMode::kFractional && !try_fractional) continue;
-    auto candidates = eligible_candidates(job, now, mode);
-    if (candidates.empty()) continue;
-    const bool timeslice = mode == PlaceMode::kTimeslice;
+  auto select = [&](const CandidateSet& set, PlaceMode mode) {
+    return mode == PlaceMode::kTimeslice
+               ? strategy_->select_timeslice(set, job, context)
+               : strategy_->select(set, job, context,
+                                   mode == PlaceMode::kFractional);
+  };
+  for (const PlaceMode mode : kModes) {
+    if (!tries(job, mode)) continue;
+    auto passes = [&](const NodeInfo& node) {
+      return eligible(node, job, now, mode);
+    };
+    CandidateSet set = candidates(job, mode);
+    // The index covers capacity, compatibility and group; only the
+    // degradation rule still needs a node-by-node pass.
+    if (strategy_->enforce_degradation()) set = set.filtered(passes);
+    if (set.empty()) continue;
     const bool fractional = mode == PlaceMode::kFractional;
-    if (!preferred_node.empty()) {
-      for (const NodeInfo* node : candidates) {
-        if (node->machine_id == preferred_node) {
-          return PlacementDecision{node, fractional, timeslice};
-        }
-      }
+    const bool timeslice = mode == PlaceMode::kTimeslice;
+    // Migrate-back affinity: the preferred node wins whenever it passes
+    // the full predicate (which is what membership in `set` means).
+    if (const NodeInfo* preferred = directory_.find(preferred_node);
+        preferred != nullptr && passes(*preferred)) {
+      return PlacementDecision{preferred, fractional, timeslice};
     }
-    const NodeInfo* pick =
-        timeslice ? strategy_->select_timeslice(candidates, job, context)
-                  : strategy_->select(candidates, job, context, fractional);
+    const NodeInfo* pick = select(set, mode);
+    // The full predicate is re-checked on the pick, so an index defect can
+    // never dispatch a job somewhere invalid: on a mismatch the strategy
+    // chooses again among the nodes that pass it.
+    if (pick != nullptr && !passes(*pick)) {
+      GPUNION_ELOG("placement") << "cluster view offered ineligible node "
+                                << pick->machine_id << " for " << job.id;
+      pick = select(set.filtered(passes), mode);
+    }
     if (pick != nullptr) {
       return PlacementDecision{pick, fractional, timeslice};
     }

@@ -15,7 +15,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "sched/directory.h"
 #include "sched/policy.h"
@@ -70,16 +69,16 @@ class PlacementEngine {
                                          util::SimTime now);
 
   /// Existence check under EXACTLY the gating place() applies (policy,
-  /// strategy fractional preference, reliability degradation): could this
+  /// strategy sharing preference, reliability degradation): could this
   /// campus place the job right now?  The federation gateway uses it to
   /// decide what to forward out and what to admit in — re-deriving the
-  /// predicates there would drift from real placement.  Early-exits on the
-  /// first eligible node (O(1) on a fleet with free capacity) instead of
-  /// materializing the candidate vector.
+  /// predicates there would drift from real placement.  Walks the same
+  /// candidate sets as place() and stops at the first node passing the full
+  /// predicate: O(1) nodes on a fleet with free capacity.
   bool any_eligible(const workload::JobSpec& job, util::SimTime now);
 
-  /// Nodes the engine's queries have examined (delegates to the view's
-  /// probe counter; regression hook for the any_eligible early exit).
+  /// Nodes the engine's candidate sets have reached (delegates to the
+  /// view's counter; the work-bound regression hook).
   std::uint64_t candidates_examined() const {
     return directory_.view().candidates_examined();
   }
@@ -91,9 +90,17 @@ class PlacementEngine {
  private:
   /// Which allocation shape a candidate pass is generating for.
   enum class PlaceMode { kWhole, kFractional, kTimeslice };
+  static constexpr PlaceMode kModes[] = {
+      PlaceMode::kTimeslice, PlaceMode::kFractional, PlaceMode::kWhole};
 
-  std::vector<const NodeInfo*> eligible_candidates(
-      const workload::JobSpec& job, util::SimTime now, PlaceMode mode);
+  /// Whether policy and strategy let `job` take this allocation shape.
+  bool tries(const workload::JobSpec& job, PlaceMode mode) const;
+  /// The view's candidate set for `mode` (capacity, compatibility, group).
+  CandidateSet candidates(const workload::JobSpec& job, PlaceMode mode);
+  /// The full placement predicate for `mode`, degradation rule included
+  /// when the strategy enforces it.
+  bool eligible(const NodeInfo& node, const workload::JobSpec& job,
+                util::SimTime now, PlaceMode mode) const;
 
   Directory& directory_;
   const ReliabilityPredictor& reliability_;

@@ -30,31 +30,37 @@ std::vector<std::string> PlacementStrategyFactory::names() const {
 namespace {
 
 /// Pack: tightest VRAM fit keeps 80 GB A100s free for jobs that need them.
-const NodeInfo* best_vram_fit(const std::vector<const NodeInfo*>& candidates,
+const NodeInfo* best_vram_fit(const CandidateSet& candidates,
                               const workload::JobSpec& job);
 
-}  // namespace
-
-const NodeInfo* PlacementStrategy::select_timeslice(
-    const std::vector<const NodeInfo*>& candidates,
-    const workload::JobSpec& job, const PlacementContext& context) {
-  (void)context;
-  if (candidates.empty()) return nullptr;
-  // Pack onto already-sliced devices first (fewest free seats = tightest),
-  // so whole GPUs stay free for training; open a fresh device only when no
-  // seat is free anywhere, on the node whose VRAM the tenant wastes least.
+/// The node with the fewest (but some) free shared units — slots or seats
+/// per `free_units` — ties by machine id; nullptr when none has any.
+const NodeInfo* tightest_shared(const CandidateSet& candidates,
+                                int NodeInfo::*free_units) {
   const NodeInfo* tightest = nullptr;
   for (const NodeInfo* node : candidates) {
-    if (node->free_timeslice_slots <= 0) continue;
-    if (tightest == nullptr ||
-        node->free_timeslice_slots < tightest->free_timeslice_slots ||
-        (node->free_timeslice_slots == tightest->free_timeslice_slots &&
+    if (node->*free_units <= 0) continue;
+    if (tightest == nullptr || node->*free_units < tightest->*free_units ||
+        (node->*free_units == tightest->*free_units &&
          node->machine_id < tightest->machine_id)) {
       tightest = node;
     }
   }
-  if (tightest != nullptr) return tightest;
-  return best_vram_fit(candidates, job);
+  return tightest;
+}
+
+}  // namespace
+
+const NodeInfo* PlacementStrategy::select_timeslice(
+    const CandidateSet& candidates,
+    const workload::JobSpec& job, const PlacementContext& context) {
+  (void)context;
+  // Pack onto already-sliced devices first (fewest free seats = tightest),
+  // so whole GPUs stay free for training; open a fresh device only when no
+  // seat is free anywhere, on the node whose VRAM the tenant wastes least.
+  const NodeInfo* tightest =
+      tightest_shared(candidates, &NodeInfo::free_timeslice_slots);
+  return tightest != nullptr ? tightest : best_vram_fit(candidates, job);
 }
 
 namespace {
@@ -64,7 +70,7 @@ class RoundRobinStrategy : public PlacementStrategy {
  public:
   std::string_view name() const override { return kRoundRobin; }
 
-  const NodeInfo* select(const std::vector<const NodeInfo*>& candidates,
+  const NodeInfo* select(const CandidateSet& candidates,
                          const workload::JobSpec& job,
                          const PlacementContext& context,
                          bool fractional) override {
@@ -72,7 +78,7 @@ class RoundRobinStrategy : public PlacementStrategy {
     (void)context;
     (void)fractional;
     if (candidates.empty()) return nullptr;
-    return candidates[cursor_++ % candidates.size()];
+    return candidates.nth(cursor_++ % candidates.size());
   }
 
  private:
@@ -85,7 +91,7 @@ class LeastLoadedStrategy : public PlacementStrategy {
  public:
   std::string_view name() const override { return kLeastLoaded; }
 
-  const NodeInfo* select(const std::vector<const NodeInfo*>& candidates,
+  const NodeInfo* select(const CandidateSet& candidates,
                          const workload::JobSpec& job,
                          const PlacementContext& context,
                          bool fractional) override {
@@ -104,7 +110,7 @@ class LeastLoadedStrategy : public PlacementStrategy {
 };
 
 /// Pack: tightest VRAM fit keeps 80 GB A100s free for jobs that need them.
-const NodeInfo* best_vram_fit(const std::vector<const NodeInfo*>& candidates,
+const NodeInfo* best_vram_fit(const CandidateSet& candidates,
                               const workload::JobSpec& job) {
   if (candidates.empty()) return nullptr;
   return *std::min_element(
@@ -121,7 +127,7 @@ class BestFitStrategy : public PlacementStrategy {
  public:
   std::string_view name() const override { return kBestFit; }
 
-  const NodeInfo* select(const std::vector<const NodeInfo*>& candidates,
+  const NodeInfo* select(const CandidateSet& candidates,
                          const workload::JobSpec& job,
                          const PlacementContext& context,
                          bool fractional) override {
@@ -138,7 +144,7 @@ class ReliabilityAwareStrategy : public PlacementStrategy {
   std::string_view name() const override { return kReliabilityAware; }
   bool enforce_degradation() const override { return true; }
 
-  const NodeInfo* select(const std::vector<const NodeInfo*>& candidates,
+  const NodeInfo* select(const CandidateSet& candidates,
                          const workload::JobSpec& job,
                          const PlacementContext& context,
                          bool fractional) override {
@@ -176,28 +182,17 @@ class PackedSharingStrategy : public PlacementStrategy {
     return job.requirements.shareable && job.requirements.gpu_count == 1;
   }
 
-  const NodeInfo* select(const std::vector<const NodeInfo*>& candidates,
+  const NodeInfo* select(const CandidateSet& candidates,
                          const workload::JobSpec& job,
                          const PlacementContext& context,
                          bool fractional) override {
     (void)context;
-    if (candidates.empty()) return nullptr;
     if (!fractional) return best_vram_fit(candidates, job);
-
-    const NodeInfo* tightest = nullptr;
-    for (const NodeInfo* node : candidates) {
-      if (node->free_shared_slots <= 0) continue;
-      if (tightest == nullptr ||
-          node->free_shared_slots < tightest->free_shared_slots ||
-          (node->free_shared_slots == tightest->free_shared_slots &&
-           node->machine_id < tightest->machine_id)) {
-        tightest = node;
-      }
-    }
-    if (tightest != nullptr) return tightest;
+    const NodeInfo* tightest =
+        tightest_shared(candidates, &NodeInfo::free_shared_slots);
     // No partially-filled shared GPU anywhere: open one on the node whose
     // VRAM the tenant wastes least.
-    return best_vram_fit(candidates, job);
+    return tightest != nullptr ? tightest : best_vram_fit(candidates, job);
   }
 };
 
@@ -215,39 +210,14 @@ const PlacementStrategyRegistrar<ReliabilityAwareStrategy>
 /// device at full memory each, rotating residency per quantum.  Steady
 /// shareable jobs keep the spatial fractional path (a time quantum would
 /// serialize them), and whole-GPU jobs fall back to best-fit.
-class AdaptiveSharingStrategy : public PlacementStrategy {
+/// Fractional selection is packed_sharing's.
+class AdaptiveSharingStrategy : public PackedSharingStrategy {
  public:
   std::string_view name() const override { return kAdaptiveSharing; }
 
   bool wants_timeslice(const workload::JobSpec& job) const override {
     return job.requirements.shareable && job.requirements.gpu_count == 1 &&
            workload::resolved_duty_cycle(job) < 0.6;
-  }
-
-  bool wants_fractional(const workload::JobSpec& job) const override {
-    // Fallback axis when no time-slice seat exists (or the job is steady).
-    return job.requirements.shareable && job.requirements.gpu_count == 1;
-  }
-
-  const NodeInfo* select(const std::vector<const NodeInfo*>& candidates,
-                         const workload::JobSpec& job,
-                         const PlacementContext& context,
-                         bool fractional) override {
-    (void)context;
-    if (candidates.empty()) return nullptr;
-    if (!fractional) return best_vram_fit(candidates, job);
-    const NodeInfo* tightest = nullptr;
-    for (const NodeInfo* node : candidates) {
-      if (node->free_shared_slots <= 0) continue;
-      if (tightest == nullptr ||
-          node->free_shared_slots < tightest->free_shared_slots ||
-          (node->free_shared_slots == tightest->free_shared_slots &&
-           node->machine_id < tightest->machine_id)) {
-        tightest = node;
-      }
-    }
-    if (tightest != nullptr) return tightest;
-    return best_vram_fit(candidates, job);
   }
 };
 

@@ -54,20 +54,21 @@ class PlacementStrategy {
     return false;
   }
 
-  /// Picks a node among `candidates` (all already satisfy hard
-  /// constraints).  `fractional` marks a slot-placement pass.  Returns
-  /// nullptr when the list is empty.
-  virtual const NodeInfo* select(
-      const std::vector<const NodeInfo*>& candidates,
-      const workload::JobSpec& job, const PlacementContext& context,
-      bool fractional) = 0;
+  /// Picks a node among `candidates` (the index's capacity/compatibility
+  /// match; the engine re-checks the full predicate on the pick).
+  /// `fractional` marks a slot-placement pass.  Returns nullptr when the
+  /// set is empty.
+  virtual const NodeInfo* select(const CandidateSet& candidates,
+                                 const workload::JobSpec& job,
+                                 const PlacementContext& context,
+                                 bool fractional) = 0;
 
   /// Picks a node for a time-slice seat.  The default packs: fewest free
   /// seats on an already-sliced device first, then the tightest VRAM fit
   /// to open a fresh device.  Returns nullptr when the list is empty.
-  virtual const NodeInfo* select_timeslice(
-      const std::vector<const NodeInfo*>& candidates,
-      const workload::JobSpec& job, const PlacementContext& context);
+  virtual const NodeInfo* select_timeslice(const CandidateSet& candidates,
+                                           const workload::JobSpec& job,
+                                           const PlacementContext& context);
 };
 
 /// Name-indexed registry.  Strategies self-register at static-init time;

@@ -24,6 +24,28 @@ TEST(TokenBucketTest, TakesAndRefills) {
   EXPECT_TRUE(bucket.try_take(0.5, 5.0));
 }
 
+TEST(TokenBucketTest, StartsFullAndRefillCapsAtBurst) {
+  TokenBucket bucket(1.0, 5.0);
+  EXPECT_DOUBLE_EQ(bucket.available(0.0), 5.0);
+  EXPECT_TRUE(bucket.try_take(0.0, 5.0));
+  EXPECT_FALSE(bucket.try_take(0.0, 0.5));
+  // A long idle stretch refills to the burst, never past it.
+  EXPECT_DOUBLE_EQ(bucket.available(1000.0), 5.0);
+  EXPECT_TRUE(bucket.try_take(1000.0, 5.0));
+  EXPECT_FALSE(bucket.try_take(1000.0, 1.0));
+}
+
+TEST(TokenBucketTest, RetryAfterShrinksAsTheDeficitRefills) {
+  TokenBucket bucket(1.0, 4.0);
+  ASSERT_TRUE(bucket.try_take(0.0, 4.0));
+  util::Duration retry = 0;
+  EXPECT_FALSE(bucket.try_take(0.0, 2.0, &retry));
+  EXPECT_DOUBLE_EQ(retry, 2.0);
+  EXPECT_FALSE(bucket.try_take(1.0, 2.0, &retry));  // one token back
+  EXPECT_DOUBLE_EQ(retry, 1.0);
+  EXPECT_TRUE(bucket.try_take(2.0, 2.0));
+}
+
 TEST(TokenBucketTest, OverBurstRequestIsNeverSatisfiable) {
   TokenBucket bucket(10.0, 20.0);
   EXPECT_FALSE(bucket.satisfiable(25.0));

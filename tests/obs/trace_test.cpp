@@ -294,5 +294,42 @@ TEST(PlatformTraceTest, LocalJobYieldsTheFullCausalChain) {
   EXPECT_GE(commit->end, commit->start);
 }
 
+TEST(PlatformTraceTest, RequeuedJobIsAckedAtRequeueTime) {
+  // Regression: the queue absorbed a requeued job with its ORIGINAL submit
+  // time as the ledger ack stamp, so the group commit that made the
+  // requeue durable reported minutes of ack -> durable latency against a
+  // 30 s flush interval.  Every commit span must close within one flush
+  // interval of its ack.
+  sim::Environment env(11);
+  CampusConfig config = traced_campus(2);
+  const util::Duration flush_interval = config.db.flush_interval;
+  Platform platform(env, std::move(config));
+  platform.start();
+  env.run_until(5.0);
+  auto job = workload::make_training_job("requeued", workload::cnn_small(),
+                                         600.0 / 3600.0, "group-a",
+                                         env.now());
+  job.checkpoint_interval = 60.0;
+  ASSERT_TRUE(platform.coordinator().submit(std::move(job)).is_ok());
+  env.run_until(200.0);
+  const sched::JobRecord* record = platform.coordinator().job("requeued");
+  ASSERT_NE(record, nullptr);
+  ASSERT_EQ(record->phase, sched::JobPhase::kRunning);
+  platform.agent(record->node)->depart_scheduled();  // requeue at the front
+  env.run_until(3600.0);
+  ASSERT_GE(record->interruptions, 1);
+  ASSERT_EQ(record->phase, sched::JobPhase::kCompleted);
+
+  int commits = 0;
+  for (const Span& span :
+       platform.tracer().trace(Tracer::trace_for_job("requeued"))) {
+    if (span.stage != stage::kDbGroupCommit) continue;
+    ++commits;
+    EXPECT_LE(span.duration(), flush_interval + 1e-9)
+        << span.detail << " acked at " << span.start;
+  }
+  EXPECT_GE(commits, 2);
+}
+
 }  // namespace
 }  // namespace gpunion::obs

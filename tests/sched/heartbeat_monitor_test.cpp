@@ -20,7 +20,11 @@ class HeartbeatMonitorTest : public ::testing::Test {
   void track(HeartbeatMonitor& monitor, const std::string& id,
              util::SimTime at) {
     directory_.upsert(active_node(id, at));
-    monitor.observe(id, at);
+    monitor.observe(directory_.handle_of(id), at);
+  }
+
+  void set_status(const std::string& id, db::NodeStatus status) {
+    directory_.update(id, [status](NodeInfo& node) { node.status = status; });
   }
 
   sim::Environment env_;
@@ -32,8 +36,7 @@ TEST_F(HeartbeatMonitorTest, DetectsSilentNodeAfterThreeMisses) {
   HeartbeatMonitor monitor(env_, directory_, 2.0, 3,
                            [&](const std::string& id) {
                              lost.push_back(id);
-                             directory_.find(id)->status =
-                                 db::NodeStatus::kUnavailable;
+                             set_status(id, db::NodeStatus::kUnavailable);
                            });
   track(monitor, "m-1", 0.0);
   monitor.start();
@@ -52,8 +55,10 @@ TEST_F(HeartbeatMonitorTest, FreshHeartbeatsPreventDetection) {
   monitor.start();
   // Keep the node fresh.
   sim::PeriodicTimer beats(env_, 2.0, [&] {
-    directory_.find("m-1")->last_heartbeat = env_.now();
-    monitor.observe("m-1", env_.now());
+    directory_.update("m-1", [&](NodeInfo& node) {
+      node.last_heartbeat = env_.now();
+    });
+    monitor.observe(directory_.handle_of("m-1"), env_.now());
   });
   beats.start();
   env_.run_until(60.0);
@@ -68,7 +73,7 @@ TEST_F(HeartbeatMonitorTest, NonActiveNodesDroppedSilently) {
   // Observed while active, but the node announced its departure before the
   // deadline: the entry expires without a loss report.
   track(monitor, "m-1", 0.0);
-  directory_.find("m-1")->status = db::NodeStatus::kDeparted;
+  set_status("m-1", db::NodeStatus::kDeparted);
   monitor.start();
   env_.run_until(30.0);
   EXPECT_EQ(lost, 0);
@@ -81,7 +86,7 @@ TEST_F(HeartbeatMonitorTest, ForgetStopsTracking) {
                            [&](const std::string&) { ++lost; });
   track(monitor, "m-1", 0.0);
   EXPECT_EQ(monitor.tracked(), 1u);
-  monitor.forget("m-1");
+  monitor.forget(directory_.handle_of("m-1"));
   EXPECT_EQ(monitor.tracked(), 0u);
   monitor.start();
   env_.run_until(30.0);
@@ -96,8 +101,7 @@ TEST_F(HeartbeatMonitorTest, DetectionDeadlineIsMissesTimesInterval) {
 TEST_F(HeartbeatMonitorTest, ManualSweepReturnsLost) {
   HeartbeatMonitor monitor(env_, directory_, 2.0, 3,
                            [&](const std::string& id) {
-                             directory_.find(id)->status =
-                                 db::NodeStatus::kUnavailable;
+                             set_status(id, db::NodeStatus::kUnavailable);
                            });
   track(monitor, "m-1", 0.0);
   track(monitor, "m-2", 0.0);
@@ -137,14 +141,14 @@ TEST_F(HeartbeatMonitorTest, OutOfOrderObservationsKeepNewest) {
   track(monitor, "m-1", 20.0);
   // A delayed beat carrying an older timestamp must not roll the node's
   // expiry backwards.
-  monitor.observe("m-1", 12.0);
+  monitor.observe(directory_.handle_of("m-1"), 12.0);
   EXPECT_EQ(monitor.tracked(), 1u);
   env_.schedule_at(24.0, [] {});
   env_.run();
   EXPECT_TRUE(monitor.sweep().empty());  // newest observation (20) holds
   // And a genuinely newer observation replaces the old entry rather than
   // duplicating it.
-  monitor.observe("m-1", 24.0);
+  monitor.observe(directory_.handle_of("m-1"), 24.0);
   EXPECT_EQ(monitor.tracked(), 1u);
 }
 
@@ -153,16 +157,15 @@ TEST_F(HeartbeatMonitorTest, ExpiryOrderUnderInterleavedBeats) {
   HeartbeatMonitor monitor(env_, directory_, 2.0, 3,
                            [&](const std::string& id) {
                              lost.push_back(id);
-                             directory_.find(id)->status =
-                                 db::NodeStatus::kUnavailable;
+                             set_status(id, db::NodeStatus::kUnavailable);
                            });
   track(monitor, "a", 0.0);
   track(monitor, "b", 0.0);
   track(monitor, "c", 0.0);
   // b and c keep beating out of registration order; a goes silent.
-  monitor.observe("c", 3.0);
-  monitor.observe("b", 4.0);
-  monitor.observe("c", 5.0);
+  monitor.observe(directory_.handle_of("c"), 3.0);
+  monitor.observe(directory_.handle_of("b"), 4.0);
+  monitor.observe(directory_.handle_of("c"), 5.0);
   env_.schedule_at(7.0, [] {});
   env_.run();
   EXPECT_EQ(monitor.sweep(), std::vector<std::string>{"a"});

@@ -180,10 +180,10 @@ class CautiousSharingStrategy : public PlacementStrategy {
   bool wants_fractional(const workload::JobSpec& job) const override {
     return job.requirements.shareable && job.requirements.gpu_count == 1;
   }
-  const NodeInfo* select(const std::vector<const NodeInfo*>& candidates,
+  const NodeInfo* select(const CandidateSet& candidates,
                          const workload::JobSpec&, const PlacementContext&,
                          bool) override {
-    return candidates.empty() ? nullptr : candidates.front();
+    return candidates.nth(0);
   }
 };
 
@@ -202,15 +202,57 @@ TEST_F(PlacementEngineTest, AnyEligibleStopsEnumeratingAtFirstHit) {
   const std::uint64_t probe_cost = engine.candidates_examined() - before;
   EXPECT_LE(probe_cost, 2u) << "existence probe enumerated candidates";
 
-  // The enumerating path really would have walked the whole fleet — the
-  // probe counter is shared, so the same fleet shows the contrast.
-  const std::uint64_t before_full = engine.candidates_examined();
+  // A round-robin placement is a popcount pick: O(1) nodes as well.
+  const std::uint64_t before_place = engine.candidates_examined();
   ASSERT_TRUE(engine.place(training(), "", 0.0).has_value());
-  EXPECT_GE(engine.candidates_examined() - before_full, 100u);
+  EXPECT_LE(engine.candidates_examined() - before_place, 2u);
+
+  // A strategy that scores every candidate really does walk the whole
+  // fleet — the counter is shared, so the same fleet shows the contrast.
+  PlacementEngine scoring(directory_, reliability_, policy_,
+                          std::string(kBestFit));
+  const std::uint64_t before_full = scoring.candidates_examined();
+  ASSERT_TRUE(scoring.place(training(), "", 0.0).has_value());
+  EXPECT_GE(scoring.candidates_examined() - before_full, 100u);
 
   // A shape nothing fits still answers false (and may examine everything:
   // correctness first, the early exit is for the common has-capacity case).
   EXPECT_FALSE(engine.any_eligible(training(8.0, 4), 0.0));
+}
+
+TEST_F(PlacementEngineTest, CampusScaleDecisionsExamineConstantNodes) {
+  // Work bound at campus scale: on 10,000 nodes with free capacity, a
+  // round-robin placement (popcount pick) and an existence probe (first
+  // set bit) each reach O(1) nodes, not O(nodes) — for every allocation
+  // shape, with and without a group restriction.
+  for (int i = 0; i < 10000; ++i) {
+    directory_.upsert(make_node("ws-" + std::to_string(100000 + i),
+                                i % 2 == 0 ? "vision" : "nlp", 1, 1, 24.0,
+                                8.6, 4));
+  }
+  for (const bool silos : {false, true}) {
+    policy_.cross_group_sharing = !silos;
+    PlacementEngine engine(directory_, reliability_, policy_,
+                           std::string(kRoundRobin));
+    for (const auto& job : {training(), session()}) {
+      for (int round = 0; round < 3; ++round) {
+        std::uint64_t before = engine.candidates_examined();
+        ASSERT_TRUE(engine.place(job, "", 0.0).has_value());
+        EXPECT_LE(engine.candidates_examined() - before, 2u)
+            << "place() walked the fleet, silos=" << silos;
+        before = engine.candidates_examined();
+        ASSERT_TRUE(engine.any_eligible(job, 0.0));
+        EXPECT_LE(engine.candidates_examined() - before, 2u)
+            << "any_eligible() walked the fleet, silos=" << silos;
+      }
+    }
+  }
+  // The fractional path, through a sharing strategy's existence probe.
+  PlacementEngine sharing(directory_, reliability_, policy_,
+                          std::string(kPackedSharing));
+  const std::uint64_t before = sharing.candidates_examined();
+  ASSERT_TRUE(sharing.any_eligible(session(), 0.0));
+  EXPECT_LE(sharing.candidates_examined() - before, 2u);
 }
 
 TEST_F(PlacementEngineTest, AnyEligibleEarlyExitMatchesFullEnumeration) {
@@ -236,17 +278,15 @@ TEST_F(PlacementEngineTest, AnyEligibleEarlyExitMatchesFullEnumeration) {
       << "whole-GPU job must not match slot-only capacity";
 }
 
-TEST_F(PlacementEngineTest, ProbeAgreesWithEnumerationUnderStaleMutation) {
-  // Regression: the existence probe used to walk ONLY the free-capacity
-  // buckets while the enumerating query's planner could pick the
-  // capability range.  A node mutated through a cached Directory::find()
-  // pointer AFTER the last refresh sits under stale index keys; with
-  // asymmetric walks the probe then denied a job place() could serve (the
-  // gateway forwarded out work its own campus could run).  Planner parity
-  // makes the two paths agree under any single-node staleness.
+TEST_F(PlacementEngineTest, ProbeAgreesWithEnumerationAcrossUpdates) {
+  // Regression: the existence probe once walked a different index than the
+  // enumerating query, and the two disagreed about a node whose entry had
+  // changed since the last refresh (the gateway then forwarded out work
+  // its own campus could run).  Both paths now read one candidate set, and
+  // Directory::update() is the only way to change an entry, so a change
+  // made between queries is seen by the next query on either path.
   //
-  // Fleet shape chosen so the planner prefers the capability range for
-  // the high-CC job: many low-CC nodes with free GPUs, ONE high-CC node.
+  // Fleet shape: many low-CC nodes with free GPUs, ONE high-CC node.
   for (int i = 0; i < 8; ++i) {
     directory_.upsert(
         make_node("m-low-" + std::to_string(i), "vision", 1, 1, 24.0, 8.6));
@@ -261,27 +301,18 @@ TEST_F(PlacementEngineTest, ProbeAgreesWithEnumerationUnderStaleMutation) {
   EXPECT_FALSE(engine.any_eligible(h100_job, 0.0));
   EXPECT_FALSE(engine.place(h100_job, "", 0.0).has_value());
 
-  // The hazard: grab the mutable entry (marks it dirty), let a query
-  // refresh (clearing the mark), THEN mutate through the cached pointer.
-  // The node now has free capacity but is absent from every free bucket.
-  NodeInfo* stale = directory_.find("m-h100");
-  ASSERT_NE(stale, nullptr);
+  // Capacity appears after a query has refreshed the view.
   ASSERT_TRUE(engine.any_eligible(training(), 0.0));  // refresh happened
-  stale->free_gpus = 2;
-
-  // Both paths must answer identically — before the fix the probe said
-  // false while enumeration (capability walk + live re-check) placed it.
+  directory_.update("m-h100", [](NodeInfo& node) { node.free_gpus = 2; });
   auto placed = engine.place(h100_job, "", 0.0);
   EXPECT_EQ(engine.any_eligible(h100_job, 0.0), placed.has_value())
       << "existence probe disagrees with enumeration";
   ASSERT_TRUE(placed.has_value());
   EXPECT_EQ(placed->node->machine_id, "m-h100");
 
-  // The reverse mutation (capacity silently vanished) must also agree:
-  // both paths live-re-check, so neither may claim eligibility.
-  stale = directory_.find("m-h100");
+  // The reverse change (capacity vanished) must also agree.
   ASSERT_TRUE(engine.any_eligible(h100_job, 0.0));  // refresh again
-  stale->free_gpus = 0;
+  directory_.update("m-h100", [](NodeInfo& node) { node.free_gpus = 0; });
   EXPECT_FALSE(engine.any_eligible(h100_job, 0.0));
   EXPECT_FALSE(engine.place(h100_job, "", 0.0).has_value());
 }

@@ -59,10 +59,10 @@ TEST(FactoryTest, ExternalStrategyRegistersWithoutCoordinatorChanges) {
   class AlwaysFirst : public PlacementStrategy {
    public:
     std::string_view name() const override { return "always_first"; }
-    const NodeInfo* select(const std::vector<const NodeInfo*>& candidates,
+    const NodeInfo* select(const CandidateSet& candidates,
                            const workload::JobSpec&, const PlacementContext&,
                            bool) override {
-      return candidates.empty() ? nullptr : candidates.front();
+      return candidates.nth(0);
     }
   };
   PlacementStrategyFactory::instance().register_strategy(
