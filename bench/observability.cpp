@@ -140,6 +140,9 @@ struct OverheadResult {
   double traced_cpu_s = 0;     // best-of-N process CPU, tracer on
   double overhead_wall_pct = 0;
   double overhead_cpu_pct = 0;  // the gated number
+  /// Per-repetition paired CPU deltas (%), in run order; even indices ran
+  /// the untraced arm first.
+  std::vector<double> cpu_deltas_pct;
   std::uint64_t spans_recorded = 0;
   std::uint64_t spans_dropped = 0;
   std::uint64_t heartbeats = 0;
@@ -160,15 +163,23 @@ OverheadResult measure_overhead(int nodes, double horizon,
   r.traced_cpu_s = 1e300;
   // Each repetition runs the two arms back to back, so a paired delta
   // cancels the minute-scale load drift a shared box shows (the drift
-  // between whole runs here dwarfs the true tracing cost).  The overhead
-  // estimate is the MEDIAN of the paired CPU deltas — robust to a single
+  // between whole runs here dwarfs the true tracing cost).  The arm that
+  // runs first alternates per repetition: the second run in a process is
+  // measurably slower whichever arm it is, and a fixed order would book
+  // that penalty to one arm.  With an even repetition count the penalty
+  // lands on each arm equally often, so it cancels in the estimate: the
+  // MEDIAN of the paired CPU deltas, which is also robust to a single
   // repetition landing on a co-tenant's burst.
   std::vector<double> wall_deltas, cpu_deltas;
   for (int rep = 0; rep < reps; ++rep) {
-    const ChurnRun off =
-        run_churn_campus(nodes, horizon, churn_per_day, seed, false);
-    const ChurnRun on =
-        run_churn_campus(nodes, horizon, churn_per_day, seed, true);
+    ChurnRun off, on;
+    if (rep % 2 == 0) {
+      off = run_churn_campus(nodes, horizon, churn_per_day, seed, false);
+      on = run_churn_campus(nodes, horizon, churn_per_day, seed, true);
+    } else {
+      on = run_churn_campus(nodes, horizon, churn_per_day, seed, true);
+      off = run_churn_campus(nodes, horizon, churn_per_day, seed, false);
+    }
     wall_deltas.push_back(100.0 * (on.wall_s - off.wall_s) / off.wall_s);
     cpu_deltas.push_back(100.0 * (on.cpu_s - off.cpu_s) / off.cpu_s);
     r.baseline_wall_s = std::min(r.baseline_wall_s, off.wall_s);
@@ -188,6 +199,7 @@ OverheadResult measure_overhead(int nodes, double horizon,
   };
   r.overhead_wall_pct = median(wall_deltas);
   r.overhead_cpu_pct = median(cpu_deltas);
+  r.cpu_deltas_pct = cpu_deltas;
   return r;
 }
 
@@ -326,7 +338,11 @@ void write_json(const std::string& path, const std::string& trace_path,
       << ", \"traced_cpu_s\": " << overhead.traced_cpu_s
       << ", \"overhead_wall_pct\": " << overhead.overhead_wall_pct
       << ", \"overhead_cpu_pct\": " << overhead.overhead_cpu_pct
-      << ", \"target_pct\": 5.0"
+      << ", \"cpu_deltas_pct\": [";
+  for (std::size_t i = 0; i < overhead.cpu_deltas_pct.size(); ++i) {
+    out << (i == 0 ? "" : ", ") << overhead.cpu_deltas_pct[i];
+  }
+  out << "], \"target_pct\": 5.0"
       << ", \"spans_recorded\": " << overhead.spans_recorded
       << ", \"spans_dropped\": " << overhead.spans_dropped
       << ", \"heartbeats\": " << overhead.heartbeats << "},\n";
@@ -394,7 +410,7 @@ int main(int argc, char** argv) {
   const int nodes = smoke ? 1000 : 10000;
   const double horizon = smoke ? 60.0 : 120.0;
   const double churn_per_day = 8.0;
-  const int reps = 5;
+  const int reps = 6;  // even: each arm runs first equally often
   const OverheadResult overhead =
       measure_overhead(nodes, horizon, churn_per_day, reps, /*seed=*/42);
   std::printf("\nTracing overhead (%d nodes, %.0f sim-s churn campus, "

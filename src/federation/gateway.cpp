@@ -46,8 +46,7 @@ RegionGateway::RegionGateway(sim::Environment& env,
                              sched::Coordinator& coordinator,
                              storage::CheckpointStore& store,
                              db::Database& database, net::Transport& wan,
-                             std::string region_name, std::string broker_id,
-                             RegionPolicy policy, FederationTopology topology,
+                             std::string region_name, RegionPolicy policy,
                              WanPathFn wan_path, sim::LaneId lane)
     : env_(env),
       lane_(lane),
@@ -57,9 +56,7 @@ RegionGateway::RegionGateway(sim::Environment& env,
       wan_(wan),
       region_(std::move(region_name)),
       gateway_id_("gw-" + region_),
-      broker_id_(std::move(broker_id)),
       policy_(policy),
-      topology_(topology),
       wan_path_(std::move(wan_path)),
       tick_timer_(env, policy.digest_interval, [this] { tick(); }, lane),
       directory_(region_),
@@ -143,8 +140,7 @@ void RegionGateway::persist_stats() {
   // directory_age_at_rank is a SampleSet and deliberately non-durable.
   database_.put_journal(
       kStatsJournalKey,
-      {static_cast<std::int64_t>(stats_.ranking_requests),
-       static_cast<std::int64_t>(stats_.local_rankings),
+      {static_cast<std::int64_t>(stats_.local_rankings),
        static_cast<std::int64_t>(stats_.forwards_attempted),
        static_cast<std::int64_t>(stats_.forwards_admitted),
        static_cast<std::int64_t>(stats_.forwards_refused),
@@ -214,19 +210,17 @@ void RegionGateway::recover() {
   // cadence.
   tick();
   tick_timer_.start();
-  if (policy_.anti_entropy_pull && topology_ == FederationTopology::kMesh) {
-    request_anti_entropy();
-  }
+  if (policy_.anti_entropy_pull) request_anti_entropy();
 }
 
 void RegionGateway::rebuild_from_db() {
-  // Stats journal (34 counters + the request-id high-water mark; an older
-  // journal from before a counter was added restores nothing — counters
-  // restart from zero, which only skews reporting, never correctness).
+  // Stats journal (33 counters + the request-id high-water mark; a journal
+  // of another length — written by a build with a different counter set —
+  // restores nothing: counters restart from zero, which only skews
+  // reporting, never correctness).
   if (const std::vector<std::int64_t>* j = database_.journal(kStatsJournalKey);
-      j != nullptr && j->size() >= 35) {
+      j != nullptr && j->size() == 34) {
     std::size_t i = 0;
-    stats_.ranking_requests = static_cast<std::uint64_t>((*j)[i++]);
     stats_.local_rankings = static_cast<std::uint64_t>((*j)[i++]);
     stats_.forwards_attempted = static_cast<std::uint64_t>((*j)[i++]);
     stats_.forwards_admitted = static_cast<std::uint64_t>((*j)[i++]);
@@ -297,7 +291,7 @@ void RegionGateway::rebuild_from_db() {
   for (db::ForwardStateRecord& row : database_.forward_states()) {
     OutboundForward forward;
     forward.state = static_cast<OutboundForward::State>(row.state);
-    forward.request_id = next_request_id_++;
+    ++next_request_id_;  // see initiate_forward
     forward.spec = std::move(row.spec);
     forward.start_progress = row.start_progress;
     forward.checkpoint_bytes = row.checkpoint_bytes;
@@ -376,17 +370,7 @@ void RegionGateway::publish_digest() {
       coordinator_.directory().capacity_summary();
   ++digest_seq_;
   ++stats_.digests_published;
-  if (topology_ == FederationTopology::kHub) {
-    DigestMessage digest;
-    digest.region = region_;
-    digest.gateway_id = gateway_id_;
-    digest.capacity = capacity;
-    digest.seq = digest_seq_;
-    digest.generated_at = env_.now();
-    send(broker_id_, kCapacityDigest, std::move(digest), kDigestBytes);
-    return;
-  }
-  // Mesh: stamp the replica's own entry and push the whole directory to a
+  // Stamp the replica's own entry and push the whole directory to a
   // rotating subset of peers.  Relayed entries keep their ORIGIN's stamps,
   // so a region two hops away still converges on the freshest digest no
   // matter which path it arrived by.
@@ -548,10 +532,10 @@ std::vector<RegionScore> RegionGateway::rank_locally(
     if (ranking_excluded(job, region, entry.gateway_id, chain)) continue;
     const util::Duration age = now - entry.generated_at;
     if (age > policy_.directory_hard_ttl) continue;  // presumed unreachable
-    // Hardware envelope: could this region *ever* host the shape?  The
-    // same never-feasible filter the hub broker applies; free-capacity
-    // staleness is deliberately tolerated (target-side admission settles
-    // it), the envelope only changes on (re)registration.
+    // Hardware envelope: could this region *ever* host the shape?
+    // Free-capacity staleness is deliberately tolerated (target-side
+    // admission settles it); the envelope only changes on
+    // (re)registration.
     if (entry.capacity.max_node_gpus < req.gpu_count) continue;
     if (entry.capacity.max_gpu_memory_gb < req.gpu_memory_gb) continue;
     if (entry.capacity.max_compute_capability <
@@ -595,142 +579,45 @@ std::vector<RegionScore> RegionGateway::rank_locally(
   return ranking;
 }
 
-void RegionGateway::filter_ranking(std::vector<RegionScore>& ranking,
-                                   const workload::JobSpec& job,
-                                   const std::vector<std::string>& chain) {
-  // Hub rankings come from the broker, which knows neither the job's hop
-  // chain nor the latency budget; the client-side filter applies the SAME
-  // eligibility predicate the mesh ranking uses, so the two topologies
-  // cannot drift (acyclic chains, usable sessions).
-  std::erase_if(ranking, [&](const RegionScore& score) {
-    return ranking_excluded(job, score.region, score.gateway_id, chain);
-  });
-}
-
 void RegionGateway::initiate_forward(const std::string& job_id) {
   const sched::JobRecord* record = coordinator_.job(job_id);
   assert(record != nullptr);
 
-  if (topology_ == FederationTopology::kMesh) {
-    // Placement query answered from the local replica: no broker, no WAN
-    // round-trip, nothing whose death leaves this region unable to ask.
-    OutboundForward forward;
-    forward.request_id = next_request_id_++;
-    resolve_origin(job_id, forward);
-    std::uint64_t checkpoint_bytes = 0;
-    if (record->checkpointed_progress > 0) {
-      auto bytes = store_.restore_bytes(job_id);
-      checkpoint_bytes = bytes.ok() ? *bytes : 0;
-    }
-    forward.ranking =
-        rank_locally(record->spec, checkpoint_bytes, forward.chain);
-    if (forward.ranking.empty()) {
-      // Nobody to ask.  The job never left the local queue; just back off.
-      retry_after_[job_id] = env_.now() + jittered(policy_.forward_retry_backoff);
-      ++stats_.forwards_aborted;
-      return;
-    }
-    auto withdrawn = coordinator_.withdraw(job_id);
-    if (!withdrawn.ok()) {
-      ++stats_.forwards_aborted;
-      return;
-    }
-    forward.spec = std::move(withdrawn->spec);
-    forward.start_progress = withdrawn->checkpointed_progress;
-    if (forward.start_progress > 0) {
-      forward.checkpoint_bytes = checkpoint_bytes;
-      // Progress without a restorable checkpoint chain cannot move campuses.
-      if (forward.checkpoint_bytes == 0) forward.start_progress = 0;
-    }
-    forward.withdrawn = true;
-    // The id is in federation flight from here until the hand-off settles:
-    // a tenant resubmitting it through the API must be refused, or the
-    // returning copy would collide (and be silently lost).
-    coordinator_.reserve_id(job_id);
-    forward.trace = withdrawn->trace;
-    if (auto* tr = coordinator_.config().tracer;
-        tr != nullptr && tr->enabled() && forward.trace.valid()) {
-      tr->record(forward.trace, obs::stage::kFedWithdraw, gateway_id_,
-                 env_.now(), env_.now());
-    }
-    auto [it, inserted] = outbound_.emplace(job_id, std::move(forward));
-    assert(inserted);
-    (void)it;
-    try_next_region(job_id);
-    return;
-  }
-
+  // Placement query answered from the local replica: no round-trip, and
+  // nothing whose death leaves this region unable to ask.
   OutboundForward forward;
-  forward.state = OutboundForward::State::kAwaitingRanking;
-  forward.request_id = next_request_id_++;
-  auto [it, inserted] = outbound_.emplace(job_id, std::move(forward));
-  assert(inserted);
-
-  RankingRequest request;
-  request.origin_region = region_;
-  request.reply_to = gateway_id_;
-  request.request_id = it->second.request_id;
-  request.gpu_count = record->spec.requirements.gpu_count;
-  request.gpu_memory_gb = record->spec.requirements.gpu_memory_gb;
-  request.min_compute_capability =
-      record->spec.requirements.min_compute_capability;
-  send(broker_id_, kRankingRequest, std::move(request), kDigestBytes);
-  ++stats_.ranking_requests;
-  arm_timeout(job_id, it->second.generation, policy_.forward_timeout);
-}
-
-void RegionGateway::handle_ranking_response(const RankingResponse& response) {
-  // Rankings are few and in flight briefly; a linear match keeps the state
-  // machine to one map.
-  auto it = outbound_.begin();
-  for (; it != outbound_.end(); ++it) {
-    if (it->second.state == OutboundForward::State::kAwaitingRanking &&
-        it->second.request_id == response.request_id) {
-      break;
-    }
-  }
-  if (it == outbound_.end()) return;  // timed out and cleaned up; ignore
-  const std::string job_id = it->first;
-  OutboundForward& forward = it->second;
-  ++forward.generation;  // invalidate the pending timeout
-
-  forward.ranking = response.ranking;
+  // Each forward consumes one id of the sequence hand-off ids are drawn
+  // from; the journal records the sequence's high-water mark.
+  ++next_request_id_;
   resolve_origin(job_id, forward);
-  // Filter BEFORE withdrawing: when every broker candidate is unusable
-  // (already in the job's chain, or beyond an interactive RTT budget the
-  // broker knows nothing about), the job must never leave the local queue
-  // — a withdraw/resubmit round-trip would reset its queue seniority for
-  // nothing.  The mesh path gets this for free (rank_locally filters).
-  if (const sched::JobRecord* record = coordinator_.job(job_id)) {
-    filter_ranking(forward.ranking, record->spec, forward.chain);
+  std::uint64_t checkpoint_bytes = 0;
+  if (record->checkpointed_progress > 0) {
+    auto bytes = store_.restore_bytes(job_id);
+    checkpoint_bytes = bytes.ok() ? *bytes : 0;
   }
+  forward.ranking = rank_locally(record->spec, checkpoint_bytes, forward.chain);
   if (forward.ranking.empty()) {
     // Nobody to ask.  The job never left the local queue; just back off.
     retry_after_[job_id] = env_.now() + jittered(policy_.forward_retry_backoff);
     ++stats_.forwards_aborted;
-    outbound_.erase(it);
     return;
   }
-
   auto withdrawn = coordinator_.withdraw(job_id);
   if (!withdrawn.ok()) {
-    // The job got dispatched (or cancelled) while the ranking was in
-    // flight — the local campus won the race, nothing to forward.
     ++stats_.forwards_aborted;
-    outbound_.erase(it);
     return;
   }
   forward.spec = std::move(withdrawn->spec);
   forward.start_progress = withdrawn->checkpointed_progress;
   if (forward.start_progress > 0) {
-    auto bytes = store_.restore_bytes(job_id);
-    forward.checkpoint_bytes = bytes.ok() ? *bytes : 0;
+    forward.checkpoint_bytes = checkpoint_bytes;
     // Progress without a restorable checkpoint chain cannot move campuses.
     if (forward.checkpoint_bytes == 0) forward.start_progress = 0;
   }
   forward.withdrawn = true;
-  // In federation flight: block the id from reuse until the hand-off
-  // settles (see the mesh path).
+  // The id is in federation flight from here until the hand-off settles:
+  // a tenant resubmitting it through the API must be refused, or the
+  // returning copy would collide (and be silently lost).
   coordinator_.reserve_id(job_id);
   forward.trace = withdrawn->trace;
   if (auto* tr = coordinator_.config().tracer;
@@ -738,6 +625,9 @@ void RegionGateway::handle_ranking_response(const RankingResponse& response) {
     tr->record(forward.trace, obs::stage::kFedWithdraw, gateway_id_,
                env_.now(), env_.now());
   }
+  auto [it, inserted] = outbound_.emplace(job_id, std::move(forward));
+  assert(inserted);
+  (void)it;
   try_next_region(job_id);
 }
 
@@ -808,12 +698,6 @@ void RegionGateway::arm_timeout(const std::string& job_id,
     auto it = outbound_.find(job_id);
     if (it == outbound_.end() || it->second.generation != generation) return;
     switch (it->second.state) {
-      case OutboundForward::State::kAwaitingRanking:
-        // Broker unreachable; the job never left the local queue.
-        ++stats_.forward_timeouts;
-        retry_after_[job_id] = env_.now() + jittered(policy_.forward_retry_backoff);
-        outbound_.erase(it);
-        return;
       case OutboundForward::State::kAwaitingReply:
         // Unanswered offer: treat like a refusal.  A late accept is
         // ignored (awaiting_gateway moved on), and the target's
@@ -1226,10 +1110,6 @@ void RegionGateway::sweep_remote_jobs() {
 void RegionGateway::handle_message(net::Message&& msg) {
   if (crashed_) return;  // the process is down; packets fall on the floor
   switch (msg.kind) {
-    case kRankingResponse:
-      handle_ranking_response(
-          std::any_cast<const RankingResponse&>(msg.payload));
-      break;
     case kForwardRequest:
       handle_forward_request(
           std::any_cast<const ForwardRequest&>(msg.payload));

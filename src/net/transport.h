@@ -1,8 +1,9 @@
 // Abstract message transport.
 //
-// Agents and the coordinator are written against this interface; the
-// simulation binds them to SimNetwork (latency + bandwidth + accounting)
-// while unit tests use LoopbackTransport (immediate delivery).
+// Agents, the coordinator and the federation gateways are written against
+// this interface.  SimNetwork (latency + bandwidth + accounting) is the one
+// implementation; the interface stays virtual so a test can interpose a
+// fault-injecting wrapper around it.
 #pragma once
 
 #include <cstdint>
@@ -27,8 +28,9 @@ class Transport {
 
   /// Lane-aware registration: deliveries to `id` fire on the actor lane
   /// `lane` (a sim::LaneId) so the endpoint's handler always runs on the
-  /// worker owning that actor.  Transports without an execution model
-  /// (loopback) ignore the lane and deliver synchronously.
+  /// worker owning that actor.  A wrapper that does not override this
+  /// forwards to the lane-less form, so its endpoints take the inner
+  /// transport's default lane.
   virtual void register_endpoint(const NodeId& id, MessageHandler handler,
                                  std::uint32_t lane) {
     (void)lane;

@@ -104,6 +104,9 @@ struct Reader {
 
 constexpr std::uint32_t kMagic = 0x52545047;  // "GPTR" little-endian
 constexpr std::uint32_t kVersion = 1;
+/// Smallest encoded span: three u64 ids, two f64 times and three empty
+/// length-prefixed strings.
+constexpr std::size_t kMinSpanBytes = 3 * 8 + 2 * 8 + 3 * 4;
 
 }  // namespace
 
@@ -171,6 +174,10 @@ bool decode_spans(const std::vector<std::uint8_t>& bytes,
   if (!r.u32(&magic) || magic != kMagic) return false;
   if (!r.u32(&version) || version != kVersion) return false;
   if (!r.u64(&count)) return false;
+  // The count is untrusted input: a buffer cannot hold more spans than its
+  // remaining bytes allow, so a larger claim is corrupt and must never size
+  // the reservation.
+  if (count > (bytes.size() - r.pos) / kMinSpanBytes) return false;
   out->reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) {
     Span span;
@@ -183,7 +190,11 @@ bool decode_spans(const std::vector<std::uint8_t>& bytes,
     }
     out->push_back(std::move(span));
   }
-  return r.pos == bytes.size();
+  if (r.pos != bytes.size()) {  // trailing junk after the last span
+    out->clear();
+    return false;
+  }
+  return true;
 }
 
 }  // namespace gpunion::obs

@@ -143,7 +143,7 @@ void Coordinator::start() {
       [this](net::Message&& msg) { handle_message(std::move(msg)); },
       config_.lane);
   heartbeat_monitor_.start();
-  if (config_.batch_heartbeat_writes) heartbeat_flush_timer_.start();
+  heartbeat_flush_timer_.start();
 }
 
 // ---------------------------------------------------------------------------
@@ -449,11 +449,6 @@ void Coordinator::drop_node(NodeHandle handle, db::NodeStatus status) {
 }
 
 void Coordinator::touch_heartbeat_db(NodeHandle handle) {
-  if (!config_.batch_heartbeat_writes) {
-    (void)database_.touch_heartbeat(directory_.node(handle).machine_id,
-                                    env_.now());
-    return;
-  }
   if (handle >= pending_touch_at_.size()) {
     pending_touch_at_.resize(handle + 1, -1);
   }
@@ -532,7 +527,7 @@ void Coordinator::recover() {
   ++epoch_;
   rebuild_from_db();
   heartbeat_monitor_.start();
-  if (config_.batch_heartbeat_writes) heartbeat_flush_timer_.start();
+  heartbeat_flush_timer_.start();
   ++recovery_stats_.recoveries;
   GPUNION_ILOG("coordinator")
       << config_.id << " recovered: " << recovery_stats_.nodes_rebuilt

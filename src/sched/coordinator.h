@@ -52,10 +52,6 @@ struct CoordinatorConfig {
   util::Duration migration_success_window = 600.0;
   /// Human resubmission delay when auto_migration is off (manual baseline).
   util::Duration manual_resubmit_delay = 3600.0;
-  /// Coalesce per-beat database heartbeat writes into one batched flush at
-  /// most every heartbeat_interval (the §5.2 DB-contention mitigation).
-  /// Off = the legacy one-write-per-beat behaviour (bench baseline).
-  bool batch_heartbeat_writes = true;
   /// Actor lane the coordinator's decision loop runs on (timeouts, passes,
   /// message deliveries).  The platform assigns its own lane here.
   sim::LaneId lane = sim::kMainLane;

@@ -91,7 +91,7 @@ struct CapacitySummary {
   int free_timeslice_slots = 0;  // free time-slice seats on schedulable nodes
   /// Hardware envelope: the best any single registered node offers
   /// (departed nodes included — hardware survives churn; recomputed when
-  /// a re-registration shrinks a maximum).  Lets the federation broker
+  /// a re-registration shrinks a maximum).  Lets a federation gateway
   /// drop never-feasible regions from a ranking — a job needing 4 GPUs on
   /// one node, 40 GB VRAM or CC 9.0 is not sent to a campus of 1-GPU
   /// 24 GB CC-8.6 workstations.

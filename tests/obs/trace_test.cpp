@@ -13,6 +13,7 @@
 #include "monitor/exposition.h"
 #include "obs/export.h"
 #include "obs/trace.h"
+#include "util/rng.h"
 #include "workload/profiles.h"
 
 namespace gpunion::obs {
@@ -176,6 +177,25 @@ TEST(SpanCodecTest, DecodeRejectsTruncatedAndForeignBuffers) {
   std::vector<std::uint8_t> trailing = bytes;
   trailing.push_back(0);  // junk after the last span
   EXPECT_FALSE(decode_spans(trailing, &out));
+  EXPECT_TRUE(out.empty());
+}
+
+TEST(SpanCodecTest, HugeSpanCountIsRejectedWithoutAllocating) {
+  // Regression: the decoder reserved the span count read from the buffer,
+  // so a corrupt count of 2^44 threw std::bad_alloc instead of failing.
+  std::vector<Span> one = sample_spans();
+  one.resize(1);
+  std::vector<std::uint8_t> bytes = encode_spans(one);
+  constexpr std::size_t kCountOffset = 8;  // after magic + version
+  const std::uint64_t huge = std::uint64_t{1} << 44;
+  for (std::size_t i = 0; i < 8; ++i) {
+    bytes[kCountOffset + i] = static_cast<std::uint8_t>(huge >> (8 * i));
+  }
+  std::vector<Span> out;
+  bool decoded = true;
+  EXPECT_NO_THROW(decoded = decode_spans(bytes, &out));
+  EXPECT_FALSE(decoded);
+  EXPECT_TRUE(out.empty());
 }
 
 TEST(SpanExportTest, PerfettoJsonNamesActorsAndEvents) {
@@ -292,6 +312,69 @@ TEST(PlatformTraceTest, LocalJobYieldsTheFullCausalChain) {
   EXPECT_EQ(commit->parent_span, 0u);
   EXPECT_EQ(commit->actor, "db");
   EXPECT_GE(commit->end, commit->start);
+}
+
+TEST(PlatformTraceTest, MutatedTraceNeverThrowsAndNeverMisdecodes) {
+  // Random-mutation robustness of the one byte decoder, over a real trace:
+  // byte flips, truncations and extensions.  Decoding never throws, and it
+  // either fails (leaving nothing behind) or yields spans that re-encode
+  // to exactly the mutated bytes.
+  sim::Environment env(23);
+  Platform platform(env, traced_campus(2));
+  platform.start();
+  env.run_until(5.0);
+  for (int i = 0; i < 3; ++i) {
+    auto job = workload::make_training_job(
+        "mut-" + std::to_string(i), workload::cnn_small(), 120.0 / 3600.0,
+        "group-a", env.now());
+    job.checkpoint_interval = 30.0;
+    ASSERT_TRUE(platform.coordinator().submit(std::move(job)).is_ok());
+  }
+  env.run_until(900.0);
+  const std::vector<std::uint8_t> original =
+      encode_spans(platform.tracer().snapshot());
+  ASSERT_GT(original.size(), 1000u);
+
+  util::Rng rng(20251017);
+  int accepted = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    std::vector<std::uint8_t> bytes = original;
+    const std::size_t pos = rng.uniform_int(0, bytes.size() - 1);
+    switch (trial % 3) {
+      case 0: {  // flip 1-4 bytes; half the trials aim at the header
+        const int flips = static_cast<int>(rng.uniform_int(1, 4));
+        for (int f = 0; f < flips; ++f) {
+          const std::size_t at = trial % 2 == 0
+                                     ? rng.uniform_int(0, 15)
+                                     : rng.uniform_int(0, bytes.size() - 1);
+          bytes[at] ^= static_cast<std::uint8_t>(rng.uniform_int(1, 255));
+        }
+        break;
+      }
+      case 1:  // truncate
+        bytes.resize(pos);
+        break;
+      case 2: {  // extend with random bytes
+        const std::size_t extra = rng.uniform_int(1, 128);
+        for (std::size_t e = 0; e < extra; ++e) {
+          bytes.push_back(static_cast<std::uint8_t>(rng.uniform_int(0, 255)));
+        }
+        break;
+      }
+    }
+    std::vector<Span> out;
+    bool decoded = false;
+    ASSERT_NO_THROW(decoded = decode_spans(bytes, &out)) << "trial " << trial;
+    if (decoded) {
+      ++accepted;
+      EXPECT_EQ(encode_spans(out), bytes) << "trial " << trial;
+    } else {
+      EXPECT_TRUE(out.empty()) << "trial " << trial;
+    }
+  }
+  // Flips inside ids, times and string bodies decode to other valid
+  // traces; the loop must have exercised that path too.
+  EXPECT_GT(accepted, 0);
 }
 
 TEST(PlatformTraceTest, RequeuedJobIsAckedAtRequeueTime) {

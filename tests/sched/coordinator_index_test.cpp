@@ -299,7 +299,7 @@ TEST_F(CoordinatorIndexTest, NodeLossInterruptsOnlyIndexedJobs) {
 }
 
 TEST_F(CoordinatorIndexTest, HeartbeatDbWritesAreBatched) {
-  make_coordinator();  // batching on by default
+  make_coordinator();
   add_agent("ws-0");
   add_agent("ws-1");
   const auto& stats = coordinator_->stats();
@@ -311,19 +311,6 @@ TEST_F(CoordinatorIndexTest, HeartbeatDbWritesAreBatched) {
   EXPECT_LT(stats.heartbeat_db_flushes, stats.heartbeats_processed);
   EXPECT_EQ(stats.heartbeat_db_touches_coalesced, stats.heartbeats_processed);
   // The batched flush still lands in the node registry.
-  EXPECT_GT(database_.node(agents_[0]->machine_id())->last_heartbeat, 0.0);
-}
-
-TEST_F(CoordinatorIndexTest, UnbatchedModeWritesThrough) {
-  CoordinatorConfig config;
-  config.batch_heartbeat_writes = false;
-  make_coordinator(config);
-  add_agent("ws-0");
-  const auto& stats = coordinator_->stats();
-  env_.run_until(env_.now() + 60.0);
-  EXPECT_GT(stats.heartbeats_processed, 0u);
-  EXPECT_EQ(stats.heartbeat_db_flushes, 0u);
-  EXPECT_EQ(stats.heartbeat_db_touches_coalesced, 0u);
   EXPECT_GT(database_.node(agents_[0]->machine_id())->last_heartbeat, 0.0);
 }
 
