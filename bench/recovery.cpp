@@ -52,7 +52,6 @@ struct SweepPoint {
 SweepPoint sweep_at_depth(std::size_t depth) {
   db::DbConfig config;
   config.shard_count = 8;
-  config.write_behind = true;
   config.flush_threshold = depth + 1;  // never auto-flush during the fill
   db::ShardedDatabase database(config);
   db::NodeRecord node;
@@ -108,7 +107,6 @@ CampusConfig crash_campus(int nodes) {
   config.agent_defaults.telemetry_interval = 1e9;
   config.scrape_interval = 1e9;
   config.db.shard_count = 4;
-  config.db.write_behind = true;
   config.db.flush_threshold = 1u << 20;  // interval commits only
   config.db.flush_interval = 30.0;
   return config;

@@ -19,7 +19,7 @@
 #include <thread>
 #include <vector>
 
-#include "db/database.h"
+#include "db/sharded_database.h"
 #include "sched/directory.h"
 #include "sched/heartbeat_monitor.h"
 #include "sched/placement_engine.h"
@@ -143,7 +143,7 @@ void BM_HeartbeatSweepFullScan(benchmark::State& state) {
 BENCHMARK(BM_HeartbeatSweepFullScan)->Arg(10)->Arg(50)->Arg(200)->Arg(400);
 
 void BM_DatabaseHeartbeatTouch(benchmark::State& state) {
-  db::SystemDatabase database;
+  db::ShardedDatabase database;
   for (int i = 0; i < 400; ++i) {
     db::NodeRecord record;
     record.machine_id = "m-" + std::to_string(i);
@@ -152,7 +152,7 @@ void BM_DatabaseHeartbeatTouch(benchmark::State& state) {
   }
   int i = 0;
   for (auto _ : state) {
-    (void)database.touch_heartbeat("m-" + std::to_string(i++ % 400), 1.0);
+    (void)database.touch_heartbeats({{"m-" + std::to_string(i++ % 400), 1.0}});
   }
 }
 BENCHMARK(BM_DatabaseHeartbeatTouch);
@@ -287,7 +287,10 @@ void print_control_plane_model() {
               "batched ops/s", "legacy sched", "batched sched");
   for (int i = 0; i < 74; ++i) std::printf("-");
   std::printf("\n");
-  db::SystemDatabase database;  // service rate 1/0.8 ms = 1250 ops/s
+  db::DbConfig one_writer;
+  one_writer.shard_count = 1;
+  // Service rate 1/0.8 ms = 1250 ops/s on the one writer.
+  const db::ShardedDatabase database(one_writer);
   auto sched_latency = [&database](double ops) -> double {
     const double db_latency = database.estimated_latency(ops);
     if (db_latency >= util::kNever) return util::kNever;

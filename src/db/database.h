@@ -1,23 +1,17 @@
-// Central system database.
+// Record types of the central system database.
 //
 // §3.2: "State persistence is handled through a centralized database that
 // maintains node registrations, resource allocations, and historical
-// monitoring data."  §5.2 identifies this database (with heartbeat
-// processing) as the scalability bottleneck beyond ~200 nodes, so the model
-// tracks an operation rate and exposes an M/M/1 latency estimate that
-// bench/scalability sweeps.
+// monitoring data."  The one store is db::ShardedDatabase
+// (db/sharded_database.h); these are the rows it keeps, shared with the
+// write-ahead log that makes them durable.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <map>
-#include <optional>
 #include <string>
-#include <unordered_map>
-#include <utility>
+#include <string_view>
 #include <vector>
 
-#include "util/status.h"
 #include "util/time.h"
 #include "workload/job.h"
 
@@ -174,217 +168,6 @@ struct HandoffRecord {
   std::string from_gateway;
   std::uint64_t handoff_id = 0;
   util::SimTime recorded_at = 0;
-};
-
-struct DatabaseConfig {
-  /// Mean service time of one DB operation (single writer), seconds.
-  double op_service_time = 0.0008;
-  /// Ring-buffer length per monitoring series.
-  std::size_t history_limit = 4096;
-};
-
-/// Abstract system-database surface every store implements.  The control
-/// plane (Coordinator, RegionGateway, Scraper, Platform) programs against
-/// this interface so the single-writer SystemDatabase and the sharded,
-/// write-behind ShardedDatabase are interchangeable — the legacy path stays
-/// selectable for A/B benching without touching any consumer.
-class Database {
- public:
-  virtual ~Database() = default;
-
-  // --- Node registry --------------------------------------------------------
-  virtual util::Status upsert_node(NodeRecord record) = 0;
-  virtual util::StatusOr<NodeRecord> node(const std::string& machine_id)
-      const = 0;
-  virtual util::Status set_node_status(const std::string& machine_id,
-                                       NodeStatus s) = 0;
-  virtual util::Status touch_heartbeat(const std::string& machine_id,
-                                       util::SimTime at) = 0;
-  /// Applies many heartbeat touches as one batched write per writer (see
-  /// SystemDatabase::touch_heartbeats).  Returns rows updated.
-  virtual std::size_t touch_heartbeats(
-      const std::vector<std::pair<std::string, util::SimTime>>& batch) = 0;
-  virtual std::vector<NodeRecord> nodes() const = 0;
-  virtual std::vector<NodeRecord> nodes_with_status(NodeStatus s) const = 0;
-
-  // --- Allocation ledger -----------------------------------------------------
-  virtual std::uint64_t open_allocation(const std::string& job_id,
-                                        const std::string& machine_id,
-                                        std::vector<int> gpu_indices,
-                                        util::SimTime at,
-                                        double gpu_fraction = 1.0,
-                                        bool interactive = false) = 0;
-  virtual util::Status close_allocation(std::uint64_t allocation_id,
-                                        AllocationOutcome outcome,
-                                        util::SimTime at) = 0;
-  virtual std::vector<AllocationRecord> allocations_for_job(
-      const std::string& job_id) const = 0;
-  virtual const std::vector<AllocationRecord>& allocation_ledger() const = 0;
-
-  // --- Pending request queue ---------------------------------------------------
-  virtual void enqueue_request(PendingRequest request) = 0;
-  virtual void enqueue_request_front(PendingRequest request) = 0;
-  virtual std::optional<PendingRequest> pop_request() = 0;
-  virtual bool remove_request(const std::string& job_id) = 0;
-  virtual std::size_t queue_depth() const = 0;
-
-  // --- Job provenance (federation) ---------------------------------------------
-  virtual void record_provenance(JobProvenance provenance) = 0;
-  virtual const JobProvenance* provenance(const std::string& job_id) const = 0;
-  virtual const std::vector<JobProvenance>& provenance_log() const = 0;
-
-  // --- Monitoring history -----------------------------------------------------
-  virtual void record_metric(const std::string& series, util::SimTime at,
-                             double value) = 0;
-  virtual const std::deque<MetricPoint>& series(
-      const std::string& name) const = 0;
-  virtual std::vector<std::string> series_names() const = 0;
-
-  // --- Durable control-plane state (crash recovery) ----------------------------
-  // Written by the Coordinator / RegionGateway so a crashed control plane
-  // can rebuild itself from the database.  Each row rides the group commit
-  // of the decision that produced it (the decision already paid its round
-  // trip), so none of these charge ops — the PR 4 decision-path accounting
-  // and every A/B bench stay comparable by construction.
-  virtual void put_job_state(JobStateRecord record) = 0;
-  virtual bool erase_job_state(const std::string& job_id) = 0;
-  virtual const JobStateRecord* job_state(const std::string& job_id) const = 0;
-  /// All rows, job-id order (deterministic rebuild).
-  virtual std::vector<JobStateRecord> job_states() const = 0;
-
-  /// Small durable counter blobs (stats journals), keyed by owner.
-  virtual void put_journal(const std::string& key,
-                           std::vector<std::int64_t> values) = 0;
-  virtual const std::vector<std::int64_t>* journal(
-      const std::string& key) const = 0;
-
-  virtual void put_forward_state(ForwardStateRecord record) = 0;
-  virtual bool erase_forward_state(const std::string& job_id) = 0;
-  /// All rows, job-id order.
-  virtual std::vector<ForwardStateRecord> forward_states() const = 0;
-
-  virtual void put_handoff(HandoffRecord record) = 0;
-  /// All rows, job-id order.
-  virtual std::vector<HandoffRecord> handoffs() const = 0;
-
-  // --- Contention model --------------------------------------------------------
-  virtual std::uint64_t op_count() const = 0;
-  virtual double estimated_latency(double ops_per_sec) const = 0;
-  virtual double service_rate() const = 0;
-};
-
-class SystemDatabase : public Database {
- public:
-  explicit SystemDatabase(DatabaseConfig config = {});
-
-  // --- Node registry --------------------------------------------------------
-  util::Status upsert_node(NodeRecord record) override;
-  util::StatusOr<NodeRecord> node(const std::string& machine_id)
-      const override;
-  util::Status set_node_status(const std::string& machine_id,
-                               NodeStatus s) override;
-  util::Status touch_heartbeat(const std::string& machine_id,
-                               util::SimTime at) override;
-  /// Applies many heartbeat touches as ONE modeled database operation (a
-  /// single batched UPDATE).  Coalescing per-beat writes into periodic
-  /// flushes is what keeps the §5.2 "database contention" op rate
-  /// O(flushes) instead of O(heartbeats).  Unknown machines are skipped;
-  /// returns the number of rows updated.
-  std::size_t touch_heartbeats(
-      const std::vector<std::pair<std::string, util::SimTime>>& batch)
-      override;
-  std::vector<NodeRecord> nodes() const override;
-  std::vector<NodeRecord> nodes_with_status(NodeStatus s) const override;
-
-  // --- Allocation ledger -----------------------------------------------------
-  std::uint64_t open_allocation(const std::string& job_id,
-                                const std::string& machine_id,
-                                std::vector<int> gpu_indices,
-                                util::SimTime at, double gpu_fraction = 1.0,
-                                bool interactive = false) override;
-  util::Status close_allocation(std::uint64_t allocation_id,
-                                AllocationOutcome outcome,
-                                util::SimTime at) override;
-  std::vector<AllocationRecord> allocations_for_job(
-      const std::string& job_id) const override;
-  const std::vector<AllocationRecord>& allocation_ledger() const override {
-    return ledger_;
-  }
-
-  // --- Pending request queue ---------------------------------------------------
-  void enqueue_request(PendingRequest request) override;
-  /// Re-queues at the *head* of its priority class (displaced jobs keep
-  /// their place under GPUnion's policy; Slurm-style resubmission uses the
-  /// tail via enqueue_request).
-  void enqueue_request_front(PendingRequest request) override;
-  /// Pops the highest-priority (FIFO within a priority) request.
-  std::optional<PendingRequest> pop_request() override;
-  /// Removes a queued request by job id (job cancelled); false if absent.
-  bool remove_request(const std::string& job_id) override;
-  std::size_t queue_depth() const override;
-
-  // --- Job provenance (federation) ---------------------------------------------
-  /// Records (or updates) where a job came from and where it executes.
-  /// Latest record per job wins for the lookup; the full log is kept for
-  /// audit (one appended row per forward hop).
-  void record_provenance(JobProvenance provenance) override;
-  /// Latest provenance for a job; nullptr for never-forwarded jobs.
-  const JobProvenance* provenance(const std::string& job_id) const override;
-  const std::vector<JobProvenance>& provenance_log() const override {
-    return provenance_log_;
-  }
-
-  // --- Monitoring history -----------------------------------------------------
-  void record_metric(const std::string& series, util::SimTime at,
-                     double value) override;
-  const std::deque<MetricPoint>& series(const std::string& name)
-      const override;
-  std::vector<std::string> series_names() const override;
-
-  // --- Durable control-plane state (uncharged; see Database) -------------------
-  void put_job_state(JobStateRecord record) override;
-  bool erase_job_state(const std::string& job_id) override;
-  const JobStateRecord* job_state(const std::string& job_id) const override;
-  std::vector<JobStateRecord> job_states() const override;
-  void put_journal(const std::string& key,
-                   std::vector<std::int64_t> values) override;
-  const std::vector<std::int64_t>* journal(
-      const std::string& key) const override;
-  void put_forward_state(ForwardStateRecord record) override;
-  bool erase_forward_state(const std::string& job_id) override;
-  std::vector<ForwardStateRecord> forward_states() const override;
-  void put_handoff(HandoffRecord record) override;
-  std::vector<HandoffRecord> handoffs() const override;
-
-  // --- Contention model --------------------------------------------------------
-  /// Every public mutation/query above counts as one operation.
-  std::uint64_t op_count() const override { return ops_; }
-
-  /// M/M/1 sojourn-time estimate for a sustained `ops_per_sec` load.
-  /// Saturates (returns kNever) at/above the service rate — this is the
-  /// ">200 nodes" wall in §5.2.
-  double estimated_latency(double ops_per_sec) const override;
-  double service_rate() const override { return 1.0 / config_.op_service_time; }
-
- private:
-  void count_op() const { ++ops_; }
-
-  DatabaseConfig config_;
-  std::map<std::string, NodeRecord> nodes_;  // ordered: deterministic scans
-  std::vector<AllocationRecord> ledger_;
-  std::unordered_map<std::uint64_t, std::size_t> ledger_index_;
-  // priority -> FIFO of requests; processed highest priority first.
-  std::map<int, std::deque<PendingRequest>, std::greater<>> queue_;
-  std::unordered_map<std::string, std::deque<MetricPoint>> metrics_;
-  std::vector<JobProvenance> provenance_log_;
-  std::unordered_map<std::string, std::size_t> provenance_index_;  // latest row
-  // Durable control-plane state (ordered: deterministic rebuild scans).
-  std::map<std::string, JobStateRecord> job_states_;
-  std::map<std::string, std::vector<std::int64_t>> journal_;
-  std::map<std::string, ForwardStateRecord> forward_states_;
-  std::map<std::string, HandoffRecord> handoffs_;
-  std::uint64_t next_allocation_id_ = 1;
-  mutable std::uint64_t ops_ = 0;
 };
 
 }  // namespace gpunion::db

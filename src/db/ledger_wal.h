@@ -19,9 +19,9 @@
 // idempotent — and the result equals the pre-crash live tables exactly,
 // because every live mutation was WAL'd first.
 //
-// The WAL is bookkeeping, not cost: op charging (shard counters, M/M/1
-// latency model, decision-path accounting) is completely unchanged, so the
-// PR 4 A/B benches and op-parity tests hold by construction.
+// The WAL is bookkeeping, not cost: it charges no ops, so shard counters,
+// the M/M/1 latency model and decision-path accounting are the same with
+// or without it.
 #pragma once
 
 #include <cstdint>
@@ -40,7 +40,6 @@ namespace gpunion::db {
 enum class WalOp {
   kUpsertNode,
   kSetNodeStatus,
-  kTouchHeartbeat,       // one node, assignment semantics
   kTouchHeartbeatBatch,  // one record per touched shard, max-merge semantics
   kOpenAllocation,
   kCloseAllocation,

@@ -26,9 +26,6 @@ ShardedDatabase::ShardedDatabase(DbConfig config)
       armed_commit_failures_(shards_.size(), false),
       queue_parts_(shards_.size()) {
   config_.shard_count = static_cast<int>(shards_.size());
-  if (config_.flush_interval_min > config_.flush_interval_max) {
-    config_.flush_interval_min = config_.flush_interval_max;
-  }
 }
 
 std::size_t ShardedDatabase::route(std::string_view key) const {
@@ -57,12 +54,6 @@ std::size_t ShardedDatabase::rotate() const {
 void ShardedDatabase::absorb(LedgerOpKind kind, std::size_t shard,
                              std::string key, std::uint64_t allocation_id,
                              util::SimTime at) {
-  if (!config_.write_behind) {
-    // Monitoring writes are background traffic, never scheduler decisions
-    // — they must not inflate the legacy side of the decision-path A/B.
-    charge(shard, /*decision_path=*/kind != LedgerOpKind::kMetric);
-    return;
-  }
   if (ledger_log_.absorb(
           LedgerEntry{kind, shard, std::move(key), allocation_id, at})) {
     flush_ledger(FlushTrigger::kThreshold);
@@ -139,25 +130,10 @@ std::size_t ShardedDatabase::flush_ledger(FlushTrigger trigger,
   return committed;
 }
 
-util::Duration ShardedDatabase::recommended_flush_interval() const {
-  if (!config_.adaptive_flush) return config_.flush_interval;
-  const std::size_t depth = std::max(ledger_log_.pending(), wal_.depth());
-  // Contention knee: half the threshold.  Past it the next absorbs are
-  // about to force a threshold flush anyway — run at the floor so group
-  // commits stay small; idle logs stretch to the ceiling.
-  const double knee =
-      0.5 * static_cast<double>(std::max<std::size_t>(1, config_.flush_threshold));
-  if (depth == 0) return config_.flush_interval_max;
-  const double frac =
-      std::min(1.0, static_cast<double>(depth) / knee);
-  return config_.flush_interval_max -
-         frac * (config_.flush_interval_max - config_.flush_interval_min);
-}
-
 void ShardedDatabase::wal_append(WalRecord record, bool deferred) {
   const std::size_t shard = record.shard;
   const std::uint64_t seq = wal_.append(std::move(record));
-  if (deferred && config_.write_behind) return;  // durable at next flush
+  if (deferred) return;  // durable at the next group commit
   advance_image(shard, seq);
   wal_.truncate_applied();
 }
@@ -283,7 +259,8 @@ void ShardedDatabase::rebuild_live_tables() {
 // ---------------------------------------------------------------------------
 
 util::Status ShardedDatabase::upsert_node(NodeRecord record) {
-  // The round trip happens before validation (legacy op-accounting parity).
+  // The shard validates the row, so a rejected upsert still paid its round
+  // trip.
   const std::size_t shard = shard_for_node(record.machine_id);
   charge(shard, /*decision_path=*/false);
   if (record.machine_id.empty()) {
@@ -324,26 +301,12 @@ util::Status ShardedDatabase::set_node_status(const std::string& machine_id,
   return util::Status();
 }
 
-util::Status ShardedDatabase::touch_heartbeat(const std::string& machine_id,
-                                              util::SimTime at) {
-  const std::size_t shard = shard_for_node(machine_id);
-  charge(shard, /*decision_path=*/false);
-  auto it = nodes_.find(machine_id);
-  if (it == nodes_.end()) {
-    return util::not_found_error("node " + machine_id + " not registered");
-  }
-  it->second.last_heartbeat = at;
-  WalRecord wal = make_wal(WalOp::kTouchHeartbeat, shard, machine_id);
-  wal.at = at;
-  wal_append(std::move(wal), /*deferred=*/false);
-  return util::Status();
-}
-
 std::size_t ShardedDatabase::touch_heartbeats(
     const std::vector<std::pair<std::string, util::SimTime>>& batch) {
   // One batched write per shard owning at least one row of the batch (the
-  // PR 2 coalescing contract, now multi-writer).  An empty batch is still
-  // one round trip (legacy op-accounting parity).
+  // PR 2 coalescing contract, now multi-writer).  An empty batch still
+  // pays one round trip: the caller issued the statement, and any lane
+  // can answer it.
   if (batch.empty()) {
     charge(rotate(), /*decision_path=*/false);
     return 0;
@@ -503,8 +466,8 @@ std::optional<PendingRequest> ShardedDatabase::pop_request() {
   // a read-modify-write whose result the decision needs NOW.  Any writer
   // lane can serve it (multi-writer), so the load rotates.  The serving
   // shard pops from its own partition when it holds the globally best
-  // request and STEALS from the partition that does otherwise — same
-  // (priority desc, insertion order) result as the legacy single queue,
+  // request and STEALS from the partition that does otherwise — the same
+  // (priority desc, insertion order) result one global queue would give,
   // with per-shard storage.
   const std::size_t server = rotate();
   charge(server, /*decision_path=*/true);
@@ -545,8 +508,8 @@ std::optional<PendingRequest> ShardedDatabase::pop_request() {
 }
 
 bool ShardedDatabase::remove_request(const std::string& job_id) {
-  // Like pop_request, a synchronous read-modify-write in BOTH modes: the
-  // found/not-found answer is consumed immediately, so the round trip to
+  // Like pop_request, a synchronous read-modify-write: the found/not-found
+  // answer is consumed immediately, so the round trip to
   // the owning shard cannot be deferred (and a miss still paid for it).
   // Partitioning makes this O(owning partition): the job can only live in
   // its owner shard's slice of the queue.

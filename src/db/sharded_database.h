@@ -26,12 +26,12 @@
 // read-your-writes on ledgered-but-unflushed state; shard op counters
 // advance at commit time.  This is the same modeling contract PR 2
 // established for touch_heartbeats (apply all rows, count one batched
-// write).
+// write).  After every flush the live tables equal the durable image the
+// WAL materializes (tests/db/sharded_db_test.cpp checks this against
+// random op sequences at 1, 4 and 8 shards).
 //
-// DbConfig{shard_count = 1, write_behind = false} reproduces the legacy
-// single-writer behaviour exactly (same final table contents AND the same
-// op accounting as SystemDatabase), which is what bench/scalability_campus
-// A/Bs against.
+// This is the only system-database implementation: the Coordinator,
+// RegionGateway, Scraper and Platform all use it directly.
 #pragma once
 
 #include <cstdint>
@@ -61,22 +61,12 @@ namespace gpunion::db {
 struct DbConfig {
   /// Writer shards the tables are partitioned across.
   int shard_count = 4;
-  /// Absorb per-decision mutations into the write-behind ledger (off = every
-  /// mutation is one synchronous shard write, the legacy path).
-  bool write_behind = true;
   /// Background ledger-flush cadence.  The database is passive (no event
   /// loop of its own); the owner — Platform — drives flush_ledger() from a
   /// timer at this period.
   util::Duration flush_interval = 2.0;
   /// Pending ledger entries that force an immediate threshold flush.
   std::size_t flush_threshold = 256;
-  /// Contention-aware adaptive flush: the owner's timer asks
-  /// recommended_flush_interval() after each flush and re-paces itself —
-  /// shorter as the pending ledger/WAL fills toward the threshold, longer
-  /// when idle.  Off by default: the fixed flush_interval stays in force.
-  bool adaptive_flush = false;
-  util::Duration flush_interval_min = 0.5;
-  util::Duration flush_interval_max = 8.0;
   /// Mean service time of one op on ONE writer shard, seconds.
   double op_service_time = 0.0008;
   /// Ring-buffer length per monitoring series.
@@ -96,85 +86,109 @@ struct RecoveryReport {
   std::size_t handoffs = 0;
 };
 
-class ShardedDatabase : public Database {
+class ShardedDatabase {
  public:
   explicit ShardedDatabase(DbConfig config = {});
 
-  // --- Database interface (see db/database.h) -------------------------------
-  util::Status upsert_node(NodeRecord record) override;
-  util::StatusOr<NodeRecord> node(const std::string& machine_id)
-      const override;
-  util::Status set_node_status(const std::string& machine_id,
-                               NodeStatus s) override;
-  util::Status touch_heartbeat(const std::string& machine_id,
-                               util::SimTime at) override;
-  /// One batched write per shard holding at least one row of the batch.
+  // --- Node registry (sharded by machine id; synchronous) --------------------
+  /// Rejects an empty machine id (after paying the round trip).
+  util::Status upsert_node(NodeRecord record);
+  util::StatusOr<NodeRecord> node(const std::string& machine_id) const;
+  util::Status set_node_status(const std::string& machine_id, NodeStatus s);
+  /// Applies many heartbeat touches with one batched write per shard
+  /// holding at least one row of the batch.  Coalescing per-beat writes
+  /// into periodic flushes is what keeps the §5.2 "database contention" op
+  /// rate O(flushes) instead of O(heartbeats).  A touch never moves a row's
+  /// last_heartbeat backwards; unknown machines are skipped.  Returns the
+  /// number of rows updated.
   std::size_t touch_heartbeats(
-      const std::vector<std::pair<std::string, util::SimTime>>& batch)
-      override;
-  std::vector<NodeRecord> nodes() const override;
-  std::vector<NodeRecord> nodes_with_status(NodeStatus s) const override;
+      const std::vector<std::pair<std::string, util::SimTime>>& batch);
+  std::vector<NodeRecord> nodes() const;
+  std::vector<NodeRecord> nodes_with_status(NodeStatus s) const;
 
+  // --- Allocation ledger (sharded by machine id; write-behind) ---------------
   std::uint64_t open_allocation(const std::string& job_id,
                                 const std::string& machine_id,
                                 std::vector<int> gpu_indices,
                                 util::SimTime at, double gpu_fraction = 1.0,
-                                bool interactive = false) override;
+                                bool interactive = false);
+  /// Fails with kNotFound for an unknown id and kFailedPrecondition for an
+  /// allocation that is already closed.
   util::Status close_allocation(std::uint64_t allocation_id,
-                                AllocationOutcome outcome,
-                                util::SimTime at) override;
+                                AllocationOutcome outcome, util::SimTime at);
   std::vector<AllocationRecord> allocations_for_job(
-      const std::string& job_id) const override;
-  const std::vector<AllocationRecord>& allocation_ledger() const override {
+      const std::string& job_id) const;
+  const std::vector<AllocationRecord>& allocation_ledger() const {
     return ledger_;
   }
 
-  void enqueue_request(PendingRequest request) override;
-  void enqueue_request_front(PendingRequest request) override;
-  std::optional<PendingRequest> pop_request() override;
-  bool remove_request(const std::string& job_id) override;
-  std::size_t queue_depth() const override;
+  // --- Pending request queue (rows sharded by job id) ------------------------
+  void enqueue_request(PendingRequest request);
+  /// Re-queues at the *head* of its priority class (displaced jobs keep
+  /// their place under GPUnion's policy; Slurm-style resubmission uses the
+  /// tail via enqueue_request).
+  void enqueue_request_front(PendingRequest request);
+  /// Pops the highest-priority request, FIFO within a priority (front
+  /// pushes first, newest front push leading).
+  std::optional<PendingRequest> pop_request();
+  /// Removes a queued request by job id (job cancelled); false if absent.
+  bool remove_request(const std::string& job_id);
+  std::size_t queue_depth() const;
 
-  void record_provenance(JobProvenance provenance) override;
-  const JobProvenance* provenance(const std::string& job_id) const override;
-  const std::vector<JobProvenance>& provenance_log() const override {
+  // --- Job provenance (sharded by job id; write-behind) ----------------------
+  /// Records where a job came from and where it executes.  The latest row
+  /// per job wins for the lookup; the full log is kept for audit (one
+  /// appended row per forward hop).
+  void record_provenance(JobProvenance provenance);
+  /// Latest provenance for a job; nullptr for never-forwarded jobs.
+  const JobProvenance* provenance(const std::string& job_id) const;
+  const std::vector<JobProvenance>& provenance_log() const {
     return provenance_log_;
   }
 
+  // --- Monitoring history (sharded by series name; write-behind) -------------
+  /// Appends one point; each series is a ring buffer of history_limit.
   void record_metric(const std::string& series, util::SimTime at,
-                     double value) override;
-  const std::deque<MetricPoint>& series(const std::string& name)
-      const override;
-  std::vector<std::string> series_names() const override;
+                     double value);
+  const std::deque<MetricPoint>& series(const std::string& name) const;
+  /// Sorted.
+  std::vector<std::string> series_names() const;
 
-  // --- Durable control-plane state (uncharged; see Database) -------------------
-  // Reads are served straight from the durable image: these tables are
-  // WAL'd and applied synchronously, so image == live for them always.
-  void put_job_state(JobStateRecord record) override;
-  bool erase_job_state(const std::string& job_id) override;
-  const JobStateRecord* job_state(const std::string& job_id) const override;
-  std::vector<JobStateRecord> job_states() const override;
-  void put_journal(const std::string& key,
-                   std::vector<std::int64_t> values) override;
-  const std::vector<std::int64_t>* journal(
-      const std::string& key) const override;
-  void put_forward_state(ForwardStateRecord record) override;
-  bool erase_forward_state(const std::string& job_id) override;
-  std::vector<ForwardStateRecord> forward_states() const override;
-  void put_handoff(HandoffRecord record) override;
-  std::vector<HandoffRecord> handoffs() const override;
+  // --- Durable control-plane state (crash recovery) --------------------------
+  // Written by the Coordinator / RegionGateway so a crashed control plane
+  // can rebuild itself from the database.  Each row rides the group commit
+  // of the decision that produced it (the decision already paid its round
+  // trip), so none of these charge ops.  Reads are served straight from
+  // the durable image: these tables are WAL'd and applied synchronously,
+  // so image == live for them always.
+  void put_job_state(JobStateRecord record);
+  bool erase_job_state(const std::string& job_id);
+  const JobStateRecord* job_state(const std::string& job_id) const;
+  /// All rows, job-id order (deterministic rebuild).
+  std::vector<JobStateRecord> job_states() const;
+  /// Small durable counter blobs (stats journals), keyed by owner.
+  void put_journal(const std::string& key, std::vector<std::int64_t> values);
+  const std::vector<std::int64_t>* journal(const std::string& key) const;
+  void put_forward_state(ForwardStateRecord record);
+  bool erase_forward_state(const std::string& job_id);
+  /// All rows, job-id order.
+  std::vector<ForwardStateRecord> forward_states() const;
+  void put_handoff(HandoffRecord record);
+  /// All rows, job-id order.
+  std::vector<HandoffRecord> handoffs() const;
 
+  // --- Contention model ------------------------------------------------------
   /// Total charged ops summed across shards (sync + flush commits).
-  std::uint64_t op_count() const override;
+  std::uint64_t op_count() const;
   /// M/M/1 sojourn time for `ops_per_sec` split evenly across the shards
   /// (per-shard arrival rate ops/N against the per-shard service rate).
-  double estimated_latency(double ops_per_sec) const override;
+  /// Saturates (returns kNever) at/above the fleet's service rate — the
+  /// ">200 nodes" wall in §5.2.
+  double estimated_latency(double ops_per_sec) const;
   /// Service rate of ONE writer shard (the fleet serves shard_count x this).
-  double service_rate() const override {
-    return 1.0 / config_.op_service_time;
-  }
+  double service_rate() const { return 1.0 / config_.op_service_time; }
 
-  // --- Sharding introspection -------------------------------------------------
+  // --- Sharding introspection ------------------------------------------------
   int shard_count() const { return static_cast<int>(shards_.size()); }
   /// Deterministic owner shard of node-keyed rows (registry, heartbeats,
   /// allocations).
@@ -198,7 +212,7 @@ class ShardedDatabase : public Database {
   /// M/M/1 sojourn time on ONE shard sustaining `shard_ops_per_sec`.
   double estimated_shard_latency(double shard_ops_per_sec) const;
 
-  // --- Write-behind ledger ------------------------------------------------------
+  // --- Write-behind ledger ---------------------------------------------------
   const WriteBehindLedger& ledger() const { return ledger_log_; }
   /// Group-commits pending ledger entries to their shards.  Threshold
   /// flushes happen automatically inside absorbing mutations; the interval
@@ -228,14 +242,7 @@ class ShardedDatabase : public Database {
   void set_executor(ShardExecutor* executor) { executor_ = executor; }
   ShardExecutor* executor() const { return executor_; }
 
-  /// Contention-aware flush pacing (DbConfig::adaptive_flush): the period
-  /// the owner's flush timer should run at given the current pending
-  /// ledger/WAL depth — flush_interval_min when the log is within half the
-  /// threshold of forcing a flush, flush_interval_max when idle, linear in
-  /// between.  Returns the fixed flush_interval when adaptation is off.
-  util::Duration recommended_flush_interval() const;
-
-  // --- Write-ahead log & crash recovery ----------------------------------------
+  // --- Write-ahead log & crash recovery --------------------------------------
   const LedgerWal& wal() const { return wal_; }
   /// The durable image a restarted process would read back (tests/benches).
   const TableImage& durable_image() const { return image_; }
@@ -246,8 +253,8 @@ class ShardedDatabase : public Database {
   /// records at/below a shard's applied watermark are skipped).  Because
   /// every mutation was WAL'd before its caller saw the ack, the rebuilt
   /// tables equal the pre-crash live tables exactly; op counters and the
-  /// WriteBehindLedger's pending (cost) entries survive, so charging and
-  /// the A/B benches stay continuous across the crash.
+  /// WriteBehindLedger's pending (cost) entries survive, so charging stays
+  /// continuous across the crash.
   RecoveryReport crash_and_recover();
 
   /// Report of the most recent crash_and_recover() (all-zero before the
@@ -268,22 +275,20 @@ class ShardedDatabase : public Database {
   /// True when the last flush stopped early under arm_flush_crash.
   bool flush_interrupted() const { return flush_interrupted_; }
 
-  // --- Pending-queue work stealing ---------------------------------------------
+  // --- Pending-queue work stealing -------------------------------------------
   /// Pops served by the rotating (charged) shard's own partition.
   std::uint64_t local_pops() const { return local_pops_; }
   /// Pops whose globally best request lived in another shard's partition
   /// (the stealing cross-partition case).
   std::uint64_t stolen_pops() const { return stolen_pops_; }
 
-  // --- Decision-path accounting -------------------------------------------------
+  // --- Decision-path accounting ----------------------------------------------
   /// Ops charged synchronously at call time (everything except ledger
   /// group commits).
   std::uint64_t sync_op_count() const { return sync_ops_; }
-  /// Synchronous ops on the scheduler's decision path: pending-queue
-  /// mutations, allocation open/close, provenance.  With write-behind on,
-  /// only the queue pops/removals remain here — the rest moves to the
-  /// ledger; this
-  /// counter (over dispatches) is the bench's "ops per decision".
+  /// Synchronous ops on the scheduler's decision path: queue pops and
+  /// removals (allocation open/close, queue inserts and provenance ride the
+  /// ledger instead).  This counter over dispatches is "ops per decision".
   std::uint64_t decision_path_sync_ops() const {
     return decision_path_sync_ops_;
   }
@@ -298,15 +303,15 @@ class ShardedDatabase : public Database {
 
   /// One pending-queue row.  `seq` is a global insertion stamp: back pushes
   /// count up from 1, front pushes count down from -1, so ascending seq
-  /// within a priority reproduces the legacy single-deque order exactly
-  /// (newest push_front first, then FIFO push_backs).
+  /// within a priority is the queue order (newest push_front first, then
+  /// FIFO push_backs).
   struct QueueItem {
     PendingRequest request;
     std::int64_t seq;
   };
-  /// Per-shard slice of the pending queue, keyed like the legacy queue
-  /// (priority desc).  A shard's partition holds the jobs it owns
-  /// (shard_for_job); pops steal across partitions for the global best.
+  /// Per-shard slice of the pending queue, keyed by priority (desc).  A
+  /// shard's partition holds the jobs it owns (shard_for_job); pops steal
+  /// across partitions for the global best.
   struct QueuePartition {
     std::map<int, std::deque<QueueItem>, std::greater<>> by_priority;
   };
@@ -317,12 +322,12 @@ class ShardedDatabase : public Database {
   /// Rotating writer for unkeyed ops (queue pops / depth probes): any lane
   /// can serve them, so the load spreads deterministically.
   std::size_t rotate() const;
-  /// Absorbs a decision-path mutation: ledgered under write-behind
-  /// (threshold-flushing when the log fills), synchronous otherwise.
+  /// Absorbs a decision-path mutation into the ledger (threshold-flushing
+  /// when the log fills).
   void absorb(LedgerOpKind kind, std::size_t shard, std::string key,
               std::uint64_t allocation_id, util::SimTime at);
-  /// Appends one WAL record.  `deferred` mutations (write-behind absorbs)
-  /// leave their shard image to the next group commit; everything else is
+  /// Appends one WAL record.  `deferred` mutations (ledger absorbs) leave
+  /// their shard image to the next group commit; everything else is
   /// durable at call time — the synchronous round trip IS the write — so
   /// the shard's image advances (and the applied prefix truncates) here.
   void wal_append(WalRecord record, bool deferred);
@@ -332,7 +337,7 @@ class ShardedDatabase : public Database {
   void rebuild_live_tables();
 
   DbConfig config_;
-  // Mutable like SystemDatabase::ops_: reads are charged ops too.
+  // Mutable: reads are charged ops too.
   mutable std::vector<Shard> shards_;
   WriteBehindLedger ledger_log_;
   LedgerWal wal_;

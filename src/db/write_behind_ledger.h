@@ -13,7 +13,8 @@
 // read-your-writes on ledgered-but-unflushed state — while the modeled
 // durable write is deferred and charged to the shard at flush time, one
 // batched commit per touched shard (the same accounting contract as
-// SystemDatabase::touch_heartbeats).
+// ShardedDatabase::touch_heartbeats: apply every row now, charge one
+// batched write).
 #pragma once
 
 #include <cstdint>

@@ -45,7 +45,7 @@ constexpr const char* kStatsJournalKey = "gateway.stats";
 RegionGateway::RegionGateway(sim::Environment& env,
                              sched::Coordinator& coordinator,
                              storage::CheckpointStore& store,
-                             db::Database& database, net::Transport& wan,
+                             db::ShardedDatabase& database, net::Transport& wan,
                              std::string region_name, RegionPolicy policy,
                              WanPathFn wan_path, sim::LaneId lane)
     : env_(env),

@@ -36,7 +36,7 @@
 #include <string>
 #include <vector>
 
-#include "db/database.h"
+#include "db/sharded_database.h"
 #include "federation/proto.h"
 #include "federation/region_directory.h"
 #include "net/transport.h"
@@ -193,7 +193,7 @@ class RegionGateway {
   /// region's coordinator/platform — the gateway calls straight into the
   /// coordinator, so they form one actor.
   RegionGateway(sim::Environment& env, sched::Coordinator& coordinator,
-                storage::CheckpointStore& store, db::Database& database,
+                storage::CheckpointStore& store, db::ShardedDatabase& database,
                 net::Transport& wan, std::string region_name,
                 RegionPolicy policy = {}, WanPathFn wan_path = {},
                 sim::LaneId lane = sim::kMainLane);
@@ -397,7 +397,7 @@ class RegionGateway {
   sim::LaneId lane_ = sim::kMainLane;
   sched::Coordinator& coordinator_;
   storage::CheckpointStore& store_;
-  db::Database& database_;
+  db::ShardedDatabase& database_;
   net::Transport& wan_;
   std::string region_;
   std::string gateway_id_;

@@ -36,9 +36,8 @@ struct CampusConfig {
   agent::AgentConfig agent_defaults;
   net::SimNetworkConfig network;
   storage::CheckpointStoreConfig checkpoint_store;
-  /// System-database model: writer shard count, write-behind ledgering and
-  /// its flush knobs.  {shard_count = 1, write_behind = false} selects the
-  /// legacy single-writer path for A/B benching.
+  /// System-database model: writer shard count, the write-behind ledger's
+  /// flush knobs and the per-shard M/M/1 service time.
   db::DbConfig db;
   /// Monitoring scrape interval into the system database.
   util::Duration scrape_interval = 60.0;

@@ -28,8 +28,7 @@ Platform::Platform(sim::Environment& env, CampusConfig config)
   }
   database_.set_tracer(config_.coordinator.tracer);
   database_.set_clock([this] { return env_.now(); });
-  if (env_.mode() == sim::ExecutionMode::kParallel &&
-      config_.db.write_behind) {
+  if (env_.mode() == sim::ExecutionMode::kParallel) {
     shard_executor_ = std::make_unique<db::ShardExecutor>(
         std::min<std::size_t>(
             static_cast<std::size_t>(database_.shard_count()),
@@ -96,12 +95,6 @@ Platform::Platform(sim::Environment& env, CampusConfig config)
       env_, config_.db.flush_interval,
       [this] {
         database_.flush_ledger(db::FlushTrigger::kInterval, env_.now());
-        if (config_.db.adaptive_flush) {
-          // Contention-aware pacing: deep log -> flush sooner (bounds the
-          // recovery replay window), idle log -> stretch out (fewer group
-          // commits).  Takes effect at the next tick.
-          db_flush_timer_->set_period(database_.recommended_flush_interval());
-        }
       },
       lane_);
   faults_ = std::make_unique<sim::FaultInjector>(env_);
@@ -223,7 +216,7 @@ void Platform::start() {
   for (auto& provider : agents_) provider->join();
   metrics_timer_->start();
   scraper_->start();
-  if (config_.db.write_behind) db_flush_timer_->start();
+  db_flush_timer_->start();
   if (api_) api_->start();
 }
 
@@ -316,7 +309,7 @@ void Platform::crash_control_plane(util::Duration downtime) {
         << " skipped=" << report.skipped_applied
         << " job_states=" << report.job_states;
     coordinator_->recover();
-    if (config_.db.write_behind) db_flush_timer_->start();
+    db_flush_timer_->start();
     if (recover_hook_) recover_hook_();
   });
 }

@@ -3,7 +3,7 @@
 namespace gpunion::monitor {
 
 Scraper::Scraper(sim::Environment& env, const MetricRegistry& registry,
-                 db::Database& database, util::Duration interval,
+                 db::ShardedDatabase& database, util::Duration interval,
                  sim::LaneId lane)
     : env_(env),
       registry_(registry),

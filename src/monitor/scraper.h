@@ -9,7 +9,7 @@
 #include <memory>
 #include <string>
 
-#include "db/database.h"
+#include "db/sharded_database.h"
 #include "monitor/metrics.h"
 #include "sim/environment.h"
 
@@ -22,7 +22,7 @@ class Scraper {
   /// `lane`: actor lane the scrape timer fires on (the platform's lane,
   /// since scrapes read platform-wide metrics).
   Scraper(sim::Environment& env, const MetricRegistry& registry,
-          db::Database& database, util::Duration interval,
+          db::ShardedDatabase& database, util::Duration interval,
           sim::LaneId lane = sim::kMainLane);
 
   void start() { timer_.start(); }
@@ -40,7 +40,7 @@ class Scraper {
  private:
   sim::Environment& env_;
   const MetricRegistry& registry_;
-  db::Database& database_;
+  db::ShardedDatabase& database_;
   sim::PeriodicTimer timer_;
   std::uint64_t scrapes_ = 0;
 };

@@ -116,7 +116,7 @@ JobRecord from_state(const db::JobStateRecord& s) {
 }  // namespace
 
 Coordinator::Coordinator(sim::Environment& env, net::Transport& transport,
-                         db::Database& database,
+                         db::ShardedDatabase& database,
                          storage::CheckpointStore& store,
                          CoordinatorConfig config)
     : env_(env),

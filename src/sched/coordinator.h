@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "agent/proto.h"
-#include "db/database.h"
+#include "db/sharded_database.h"
 #include "net/transport.h"
 #include "obs/trace.h"
 #include "sched/directory.h"
@@ -201,10 +201,10 @@ struct OperationalStats {
 
 class Coordinator {
  public:
-  /// `database` may be the single-writer SystemDatabase or the sharded
-  /// write-behind ShardedDatabase; the coordinator only sees db::Database.
+  /// `database` is the campus system database; the coordinator's
+  /// per-decision writes ride its write-behind ledger.
   Coordinator(sim::Environment& env, net::Transport& transport,
-              db::Database& database, storage::CheckpointStore& store,
+              db::ShardedDatabase& database, storage::CheckpointStore& store,
               CoordinatorConfig config);
   ~Coordinator();
 
@@ -413,7 +413,7 @@ class Coordinator {
 
   sim::Environment& env_;
   net::Transport& transport_;
-  db::Database& database_;
+  db::ShardedDatabase& database_;
   storage::CheckpointStore& store_;
   CoordinatorConfig config_;
 

@@ -302,9 +302,6 @@ class PeriodicTimer {
   bool running() const { return event_ != kInvalidEvent; }
   util::Duration period() const { return period_; }
 
-  /// Changes the period; takes effect at the next (re)start or tick.
-  void set_period(util::Duration period) { period_ = period; }
-
  private:
   void tick();
   EventId arm(util::Duration delay);

@@ -66,7 +66,7 @@ class RobustnessTest : public ::testing::Test {
   sim::Environment env_;
   net::SimNetwork net_;
   DroppingTransport transport_;
-  db::SystemDatabase database_;
+  db::ShardedDatabase database_;
   storage::CheckpointStore store_;
   container::ImageRegistry registry_;
   std::unique_ptr<sched::Coordinator> coordinator_;

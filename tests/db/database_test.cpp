@@ -1,6 +1,14 @@
-#include "db/database.h"
+// System-database table semantics through the one store, ShardedDatabase,
+// at its default shard count: registry lookups and validation, status
+// transitions, heartbeat touches, the allocation ledger, pending-queue
+// order, the monitoring ring buffer and op counting.
+#include "db/sharded_database.h"
 
 #include <gtest/gtest.h>
+
+#include <set>
+#include <string>
+#include <vector>
 
 namespace gpunion::db {
 namespace {
@@ -14,7 +22,7 @@ NodeRecord node(const std::string& id) {
 }
 
 TEST(DatabaseTest, NodeUpsertAndLookup) {
-  SystemDatabase database;
+  ShardedDatabase database;
   ASSERT_TRUE(database.upsert_node(node("m-1")).is_ok());
   auto found = database.node("m-1");
   ASSERT_TRUE(found.ok());
@@ -24,50 +32,55 @@ TEST(DatabaseTest, NodeUpsertAndLookup) {
 }
 
 TEST(DatabaseTest, EmptyMachineIdRejected) {
-  SystemDatabase database;
+  ShardedDatabase database;
   EXPECT_EQ(database.upsert_node(NodeRecord{}).code(),
             util::StatusCode::kInvalidArgument);
+  EXPECT_TRUE(database.nodes().empty());
 }
 
 TEST(DatabaseTest, StatusTransitions) {
-  SystemDatabase database;
+  ShardedDatabase database;
   ASSERT_TRUE(database.upsert_node(node("m-1")).is_ok());
   ASSERT_TRUE(
       database.set_node_status("m-1", NodeStatus::kUnavailable).is_ok());
   EXPECT_EQ(database.node("m-1")->status, NodeStatus::kUnavailable);
   EXPECT_EQ(database.nodes_with_status(NodeStatus::kUnavailable).size(), 1u);
   EXPECT_EQ(database.nodes_with_status(NodeStatus::kActive).size(), 0u);
-}
-
-TEST(DatabaseTest, HeartbeatTouch) {
-  SystemDatabase database;
-  ASSERT_TRUE(database.upsert_node(node("m-1")).is_ok());
-  ASSERT_TRUE(database.touch_heartbeat("m-1", 42.0).is_ok());
-  EXPECT_DOUBLE_EQ(database.node("m-1")->last_heartbeat, 42.0);
-  EXPECT_EQ(database.touch_heartbeat("ghost", 1.0).code(),
+  EXPECT_EQ(database.set_node_status("ghost", NodeStatus::kPaused).code(),
             util::StatusCode::kNotFound);
 }
 
-TEST(DatabaseTest, BatchedHeartbeatTouchIsOneOperation) {
-  SystemDatabase database;
+TEST(DatabaseTest, BatchedHeartbeatTouch) {
+  ShardedDatabase database;
   ASSERT_TRUE(database.upsert_node(node("m-1")).is_ok());
   ASSERT_TRUE(database.upsert_node(node("m-2")).is_ok());
   ASSERT_TRUE(database.upsert_node(node("m-3")).is_ok());
+  // A one-row batch is the single-node touch.
+  EXPECT_EQ(database.touch_heartbeats({{"m-1", 4.0}}), 1u);
+  EXPECT_DOUBLE_EQ(database.node("m-1")->last_heartbeat, 4.0);
+  // One batched write per shard the batch touches; the unknown machine is
+  // skipped but its shard still served the statement.
+  std::set<std::size_t> shards;
+  for (const char* id : {"m-1", "m-2", "m-3", "ghost"}) {
+    shards.insert(database.shard_for_node(id));
+  }
   const std::uint64_t before = database.op_count();
-  // Three touches, one batched write, unknown machine skipped.
   EXPECT_EQ(database.touch_heartbeats(
                 {{"m-1", 10.0}, {"m-2", 11.0}, {"m-3", 12.0}, {"ghost", 9.0}}),
             3u);
-  EXPECT_EQ(database.op_count(), before + 1);
+  EXPECT_EQ(database.op_count(), before + shards.size());
   EXPECT_DOUBLE_EQ(database.node("m-1")->last_heartbeat, 10.0);
   EXPECT_DOUBLE_EQ(database.node("m-3")->last_heartbeat, 12.0);
   // A stale batched value never rolls a fresher row backwards.
   EXPECT_EQ(database.touch_heartbeats({{"m-1", 5.0}}), 1u);
   EXPECT_DOUBLE_EQ(database.node("m-1")->last_heartbeat, 10.0);
+  EXPECT_EQ(database.touch_heartbeats({{"ghost", 1.0}}), 0u);
+  EXPECT_EQ(database.node("ghost").status().code(),
+            util::StatusCode::kNotFound);
 }
 
 TEST(DatabaseTest, AllocationLedgerLifecycle) {
-  SystemDatabase database;
+  ShardedDatabase database;
   const auto id = database.open_allocation("job-1", "m-1", {0, 1}, 10.0);
   EXPECT_GT(id, 0u);
   ASSERT_TRUE(
@@ -82,7 +95,7 @@ TEST(DatabaseTest, AllocationLedgerLifecycle) {
 }
 
 TEST(DatabaseTest, DoubleCloseRejected) {
-  SystemDatabase database;
+  ShardedDatabase database;
   const auto id = database.open_allocation("job-1", "m-1", {0}, 10.0);
   ASSERT_TRUE(database.close_allocation(id, AllocationOutcome::kKilled, 20.0)
                   .is_ok());
@@ -90,10 +103,16 @@ TEST(DatabaseTest, DoubleCloseRejected) {
       database.close_allocation(id, AllocationOutcome::kCompleted, 30.0)
           .code(),
       util::StatusCode::kFailedPrecondition);
+  EXPECT_EQ(database.allocation_ledger().front().outcome,
+            AllocationOutcome::kKilled);
+  EXPECT_EQ(
+      database.close_allocation(id + 1, AllocationOutcome::kCompleted, 30.0)
+          .code(),
+      util::StatusCode::kNotFound);
 }
 
 TEST(DatabaseTest, QueuePriorityThenFifo) {
-  SystemDatabase database;
+  ShardedDatabase database;
   database.enqueue_request({"low-1", 0, 1.0});
   database.enqueue_request({"high-1", 5, 2.0});
   database.enqueue_request({"low-2", 0, 3.0});
@@ -106,27 +125,17 @@ TEST(DatabaseTest, QueuePriorityThenFifo) {
 }
 
 TEST(DatabaseTest, QueueFrontInsertion) {
-  SystemDatabase database;
+  ShardedDatabase database;
   database.enqueue_request({"a", 0, 1.0});
   database.enqueue_request_front({"displaced", 0, 0.5});
   EXPECT_EQ(database.pop_request()->job_id, "displaced");
   EXPECT_EQ(database.pop_request()->job_id, "a");
 }
 
-TEST(DatabaseTest, RemoveRequest) {
-  SystemDatabase database;
-  database.enqueue_request({"a", 0, 1.0});
-  database.enqueue_request({"b", 0, 2.0});
-  EXPECT_TRUE(database.remove_request("a"));
-  EXPECT_FALSE(database.remove_request("a"));
-  EXPECT_EQ(database.queue_depth(), 1u);
-  EXPECT_EQ(database.pop_request()->job_id, "b");
-}
-
 TEST(DatabaseTest, MetricsRingBuffer) {
-  DatabaseConfig config;
+  DbConfig config;
   config.history_limit = 3;
-  SystemDatabase database(config);
+  ShardedDatabase database(config);
   for (int i = 0; i < 5; ++i) {
     database.record_metric("util", i, i * 10.0);
   }
@@ -134,32 +143,25 @@ TEST(DatabaseTest, MetricsRingBuffer) {
   ASSERT_EQ(series.size(), 3u);
   EXPECT_DOUBLE_EQ(series.front().value, 20.0);  // oldest kept is i=2
   EXPECT_DOUBLE_EQ(series.back().value, 40.0);
+  EXPECT_TRUE(database.series("missing").empty());
 }
 
 TEST(DatabaseTest, SeriesNamesSorted) {
-  SystemDatabase database;
+  ShardedDatabase database;
   database.record_metric("zeta", 0, 1);
   database.record_metric("alpha", 0, 1);
   EXPECT_EQ(database.series_names(),
             (std::vector<std::string>{"alpha", "zeta"}));
 }
 
-TEST(DatabaseTest, ContentionModelSaturates) {
-  SystemDatabase database;  // default service time 0.8 ms -> mu = 1250/s
-  const double light = database.estimated_latency(100.0);
-  const double heavy = database.estimated_latency(1200.0);
-  EXPECT_LT(light, 0.001);
-  EXPECT_GT(heavy, 10 * light);
-  EXPECT_EQ(database.estimated_latency(1250.0), util::kNever);
-  EXPECT_EQ(database.estimated_latency(2000.0), util::kNever);
-}
-
 TEST(DatabaseTest, OpCounting) {
-  SystemDatabase database;
+  ShardedDatabase database;
   const auto before = database.op_count();
+  // One op on the owning shard, then a scatter-gather scan: one per shard.
   ASSERT_TRUE(database.upsert_node(node("m-1")).is_ok());
   (void)database.nodes();
-  EXPECT_EQ(database.op_count(), before + 2);
+  EXPECT_EQ(database.op_count(),
+            before + 1 + static_cast<std::uint64_t>(database.shard_count()));
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Work-stealing pending-queue partitions: the sharded queue must reproduce
-// the legacy single-deque pop order exactly while spreading storage across
+// the single-shard pop order exactly while spreading storage across
 // per-shard partitions and counting cross-partition steals.
 #include <gtest/gtest.h>
 
@@ -16,7 +16,6 @@ namespace {
 DbConfig sharded(int shards) {
   DbConfig config;
   config.shard_count = shards;
-  config.write_behind = false;  // queue semantics only; no ledger noise
   return config;
 }
 
@@ -33,22 +32,22 @@ void expect_same_drain(ShardedDatabase& a, ShardedDatabase& b) {
 }
 
 TEST(WorkStealingQueueTest, MatchesSingleShardOrderMixedPriorities) {
-  ShardedDatabase legacy(sharded(1));
+  ShardedDatabase single(sharded(1));
   ShardedDatabase partitioned(sharded(8));
   const int priorities[] = {0, 5, 0, 2, 5, 0, 2, 9, 0, 5, 2, 9};
   for (int i = 0; i < 12; ++i) {
     PendingRequest request{"job-" + std::to_string(i), priorities[i],
                            static_cast<double>(i)};
-    legacy.enqueue_request(request);
+    single.enqueue_request(request);
     partitioned.enqueue_request(request);
   }
-  expect_same_drain(legacy, partitioned);
+  expect_same_drain(single, partitioned);
 }
 
 TEST(WorkStealingQueueTest, FrontPushesPreserveLifoWithinPriority) {
-  ShardedDatabase legacy(sharded(1));
+  ShardedDatabase single(sharded(1));
   ShardedDatabase partitioned(sharded(4));
-  for (auto* database : {&legacy, &partitioned}) {
+  for (auto* database : {&single, &partitioned}) {
     database->enqueue_request({"back-1", 3, 1.0});
     database->enqueue_request({"back-2", 3, 2.0});
     database->enqueue_request_front({"front-1", 3, 3.0});
@@ -56,9 +55,9 @@ TEST(WorkStealingQueueTest, FrontPushesPreserveLifoWithinPriority) {
     database->enqueue_request({"back-3", 3, 5.0});
     database->enqueue_request_front({"low-front", 1, 6.0});
   }
-  // Legacy order within priority 3: front-2, front-1, back-1, back-2,
+  // Single-shard order within priority 3: front-2, front-1, back-1, back-2,
   // back-3; then priority 1.
-  expect_same_drain(legacy, partitioned);
+  expect_same_drain(single, partitioned);
 }
 
 TEST(WorkStealingQueueTest, CountsLocalAndStolenPops) {

@@ -357,7 +357,6 @@ TEST(FederationForwardTest, ForwardWhileLedgerUnflushedKeepsProvenance) {
   config.regions.push_back(make_region("beta", 3));
   for (auto& region : config.regions) {
     region.campus.db.shard_count = 4;
-    region.campus.db.write_behind = true;
     region.campus.db.flush_interval = 1e9;    // timer never fires
     region.campus.db.flush_threshold = 1u << 20;  // threshold never crossed
   }

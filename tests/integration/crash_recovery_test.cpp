@@ -44,7 +44,6 @@ CampusConfig crash_campus(int nodes) {
   config.agent_defaults.telemetry_interval = 1e9;
   config.scrape_interval = 1e9;
   config.db.shard_count = 4;
-  config.db.write_behind = true;
   // Lazy flushing on purpose: only the 30 s interval commit runs, never a
   // threshold flush — so a submission wave placed just before a scheduled
   // crash DETERMINISTICALLY leaves acked work in the WAL for the dirty

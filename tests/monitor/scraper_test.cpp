@@ -8,7 +8,7 @@ namespace {
 TEST(ScraperTest, PersistsGaugesToDatabase) {
   sim::Environment env;
   MetricRegistry registry;
-  db::SystemDatabase database;
+  db::ShardedDatabase database;
   auto& gauge = registry.gauge_family("gpunion_nodes", "help").gauge();
   Scraper scraper(env, registry, database, 60.0);
   scraper.start();
@@ -34,7 +34,7 @@ TEST(ScraperTest, SeriesNameIncludesLabels) {
 TEST(ScraperTest, LabeledGaugesGetDistinctSeries) {
   sim::Environment env;
   MetricRegistry registry;
-  db::SystemDatabase database;
+  db::ShardedDatabase database;
   auto& family = registry.gauge_family("busy", "help");
   family.gauge({{"node", "a"}}).set(1);
   family.gauge({{"node", "b"}}).set(2);
@@ -47,7 +47,7 @@ TEST(ScraperTest, LabeledGaugesGetDistinctSeries) {
 TEST(ScraperTest, HistogramPersistsMean) {
   sim::Environment env;
   MetricRegistry registry;
-  db::SystemDatabase database;
+  db::ShardedDatabase database;
   auto& h = registry.histogram_family("lat", "help", {1.0}).histogram();
   h.observe(2.0);
   h.observe(4.0);
@@ -61,7 +61,7 @@ TEST(ScraperTest, HistogramPersistsMean) {
 TEST(ScraperTest, StopHaltsScraping) {
   sim::Environment env;
   MetricRegistry registry;
-  db::SystemDatabase database;
+  db::ShardedDatabase database;
   registry.gauge_family("g", "h").gauge().set(1);
   Scraper scraper(env, registry, database, 10.0);
   scraper.start();

@@ -244,7 +244,6 @@ CampusConfig traced_campus(int nodes) {
   config.agent_defaults.heartbeat_interval = 2.0;
   config.agent_defaults.telemetry_interval = 1e9;
   config.scrape_interval = 1e9;
-  config.db.write_behind = true;  // group commits produce db spans
   config.db.flush_threshold = 1u << 20;
   config.db.flush_interval = 30.0;
   return config;

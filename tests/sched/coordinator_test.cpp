@@ -88,7 +88,7 @@ class CoordinatorTest : public ::testing::Test {
 
   sim::Environment env_;
   net::SimNetwork net_;
-  db::SystemDatabase database_;
+  db::ShardedDatabase database_;
   storage::CheckpointStore store_;
   container::ImageRegistry registry_;
   std::unique_ptr<Coordinator> coordinator_;

@@ -79,7 +79,7 @@ class FractionalSharingTest : public ::testing::Test {
 
   sim::Environment env_;
   net::SimNetwork net_;
-  db::SystemDatabase database_;
+  db::ShardedDatabase database_;
   storage::CheckpointStore store_;
   container::ImageRegistry registry_;
   std::unique_ptr<Coordinator> coordinator_;

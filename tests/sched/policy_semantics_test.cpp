@@ -55,7 +55,7 @@ class PolicySemanticsTest : public ::testing::Test {
 
   sim::Environment env_;
   net::SimNetwork net_;
-  db::SystemDatabase database_;
+  db::ShardedDatabase database_;
   storage::CheckpointStore store_;
   container::ImageRegistry registry_;
   std::unique_ptr<Coordinator> coordinator_;
