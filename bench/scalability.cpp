@@ -152,7 +152,8 @@ void BM_DatabaseHeartbeatTouch(benchmark::State& state) {
   }
   int i = 0;
   for (auto _ : state) {
-    (void)database.touch_heartbeats({{"m-" + std::to_string(i++ % 400), 1.0}});
+    (void)database.touch_heartbeats(
+        {{static_cast<db::NodeRow>(i++ % 400), 1.0}});
   }
 }
 BENCHMARK(BM_DatabaseHeartbeatTouch);

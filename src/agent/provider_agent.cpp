@@ -61,6 +61,10 @@ void ProviderAgent::join() {
   transport_.register_endpoint(
       machine_id_,
       [this](net::Message&& msg) { handle_message(std::move(msg)); }, lane_);
+  // Endpoint ids are stable for the transport's life: resolve once here,
+  // not per send.
+  endpoint_ = transport_.resolve(machine_id_);
+  coordinator_endpoint_ = transport_.resolve(config_.coordinator_id);
   send_register_request();
   GPUNION_ILOG("agent") << machine_id_ << " joining as " << node_.hostname();
 }
@@ -84,7 +88,7 @@ void ProviderAgent::send_register_request() {
     request.timeslice_oversub_ratio = node_.spec().timeslice_oversub_ratio;
     request.host_swap_gbps = node_.spec().host_swap_gbps;
   }
-  send_control(kRegisterRequest, request, kRegisterBytes);
+  send_control(kRegisterRequest, std::move(request), kRegisterBytes);
   // The request or its response may be lost; retry until activated (the
   // paper's "automatic registration scripts" keep trying).
   env_.schedule_after_on(lane_, 10.0, [this] { send_register_request(); });
@@ -104,7 +108,7 @@ std::vector<std::string> ProviderAgent::kill_switch() {
     KillSwitchNotice notice;
     notice.machine_id = machine_id_;
     notice.killed_jobs = killed;
-    send_control(kKillSwitchNotice, notice,
+    send_control(kKillSwitchNotice, std::move(notice),
                  kControlBytes + 40 * killed.size());
   }
   GPUNION_ILOG("agent") << machine_id_ << " kill-switch: " << killed.size()
@@ -154,13 +158,15 @@ void ProviderAgent::depart_scheduled() {
   jobs_.clear();
   slicer_.clear();
 
-  send_control(kDepartureNotice, notice, kControlBytes + 64 * notice.jobs.size());
+  const std::size_t departing = notice.jobs.size();
+  send_control(kDepartureNotice, std::move(notice),
+               kControlBytes + 64 * departing);
   heartbeat_timer_.reset();
   telemetry_timer_.reset();
   transport_.unregister_endpoint(machine_id_);
   state_ = AgentState::kDeparted;
   GPUNION_ILOG("agent") << machine_id_ << " departed (scheduled), "
-                        << notice.jobs.size() << " jobs checkpointed";
+                        << departing << " jobs checkpointed";
 }
 
 void ProviderAgent::depart_emergency() {
@@ -187,7 +193,7 @@ void ProviderAgent::rejoin() {
   join();
   ReturnNotice notice;
   notice.machine_id = machine_id_;
-  send_control(kReturnNotice, notice, kControlBytes);
+  send_control(kReturnNotice, std::move(notice), kControlBytes);
 }
 
 int ProviderAgent::reclaim_gpus(int gpus) {
@@ -223,8 +229,8 @@ int ProviderAgent::reclaim_gpus(int gpus) {
     drop_from_slicer(id, departed);
   }
   if (!notice.killed_jobs.empty()) {
-    send_control(kKillSwitchNotice, notice,
-                 kControlBytes + 40 * notice.killed_jobs.size());
+    const std::uint64_t bytes = kControlBytes + 40 * notice.killed_jobs.size();
+    send_control(kKillSwitchNotice, std::move(notice), bytes);
   }
   return freed;
 }
@@ -294,7 +300,7 @@ void ProviderAgent::reject_dispatch(const std::string& job_id,
   result.job_id = job_id;
   result.accepted = false;
   result.reason = reason;
-  send_control(kDispatchResult, result, kControlBytes);
+  send_control(kDispatchResult, std::move(result), kControlBytes);
 }
 
 void ProviderAgent::handle_dispatch(DispatchRequest request) {
@@ -320,7 +326,7 @@ void ProviderAgent::handle_dispatch(DispatchRequest request) {
       result.gpu_indices = c->config().limits.gpu_indices;
       result.gpu_fraction = c->config().limits.gpu_fraction;
     }
-    send_control(kDispatchResult, result, kControlBytes);
+    send_control(kDispatchResult, std::move(result), kControlBytes);
     return;
   }
 
@@ -434,7 +440,7 @@ void ProviderAgent::handle_dispatch(DispatchRequest request) {
   result.container_id = *container_id;
   result.gpu_indices = gpu_indices;
   result.gpu_fraction = gpu_fraction;
-  send_control(kDispatchResult, result, kControlBytes);
+  send_control(kDispatchResult, std::move(result), kControlBytes);
 
   advance_dispatch(job_id);
 }
@@ -450,6 +456,7 @@ void ProviderAgent::advance_dispatch(const std::string& job_id) {
     request.image_ref = job.spec.image_ref;
     net::Message msg;
     msg.from = machine_id_;
+    msg.from_ep = endpoint_;
     msg.to = "image-registry";
     msg.kind = kImagePullRequest;
     msg.traffic_class = net::TrafficClass::kControl;
@@ -473,6 +480,7 @@ void ProviderAgent::advance_dispatch(const std::string& job_id) {
     request.bytes = job.restore_bytes;
     net::Message msg;
     msg.from = machine_id_;
+    msg.from_ep = endpoint_;
     msg.to = job.restore_from;
     msg.kind = kRestoreRequest;
     msg.traffic_class = net::TrafficClass::kControl;
@@ -542,7 +550,7 @@ void ProviderAgent::handle_kill_job(const KillJobCommand& command) {
   const RunningJob killed = std::move(job);
   jobs_.erase(it);
   drop_from_slicer(command.job_id, killed);
-  send_control(kJobKilledAck, ack, kControlBytes);
+  send_control(kJobKilledAck, std::move(ack), kControlBytes);
 }
 
 // ---------------------------------------------------------------------------
@@ -577,7 +585,7 @@ void ProviderAgent::begin_compute(const std::string& job_id) {
   started_notice.machine_id = machine_id_;
   started_notice.job_id = job_id;
   started_notice.start_progress = job.start_progress;
-  send_control(kJobStarted, started_notice, kControlBytes);
+  send_control(kJobStarted, std::move(started_notice), kControlBytes);
 
   if (job.spec.type == workload::JobType::kInteractive) {
     // Sessions are wall-clock (including any quantum swap pauses a
@@ -616,7 +624,7 @@ void ProviderAgent::complete_job(const std::string& job_id) {
   JobCompleted done;
   done.machine_id = machine_id_;
   done.job_id = job_id;
-  send_control(kJobCompleted, done, kControlBytes);
+  send_control(kJobCompleted, std::move(done), kControlBytes);
   if (hooks_.on_job_completed) hooks_.on_job_completed(job_id, 1.0);
   const RunningJob finished = std::move(job);
   jobs_.erase(it);
@@ -640,6 +648,7 @@ util::StatusOr<storage::Checkpoint> ProviderAgent::write_checkpoint(
   // Ship the delta to the storage node (backup traffic, §4).
   net::Message data;
   data.from = machine_id_;
+  data.from_ep = endpoint_;
   data.to = checkpoint->storage_node;
   data.kind = kCheckpointData;
   data.traffic_class = net::TrafficClass::kCheckpoint;
@@ -655,7 +664,7 @@ util::StatusOr<storage::Checkpoint> ProviderAgent::write_checkpoint(
   notice.progress = progress;
   notice.stored_bytes = checkpoint->stored_bytes;
   notice.storage_node = checkpoint->storage_node;
-  send_control(kCheckpointNotice, notice, kControlBytes);
+  send_control(kCheckpointNotice, std::move(notice), kControlBytes);
 
   if (count_pause && job.completion_event != sim::kInvalidEvent) {
     // Serialization stalls training: push completion out by the pause.
@@ -776,7 +785,7 @@ void ProviderAgent::evict_timeslice_tenant(const std::string& job_id) {
   KillSwitchNotice notice;
   notice.machine_id = machine_id_;
   notice.killed_jobs = {job_id};
-  send_control(kKillSwitchNotice, notice, kControlBytes + 40);
+  send_control(kKillSwitchNotice, std::move(notice), kControlBytes + 40);
   GPUNION_ILOG("agent") << machine_id_ << " evicted thrashing tenant "
                         << job_id;
 }
@@ -795,9 +804,15 @@ void ProviderAgent::drop_from_slicer(const std::string& job_id,
 
 void ProviderAgent::send_control(int kind, std::any payload,
                                  std::uint64_t bytes) {
+  if (coordinator_endpoint_ == net::kNoEndpoint) {
+    // The coordinator had not attached yet at join().
+    coordinator_endpoint_ = transport_.resolve(config_.coordinator_id);
+  }
   net::Message msg;
   msg.from = machine_id_;
   msg.to = config_.coordinator_id;
+  msg.from_ep = endpoint_;
+  msg.to_ep = coordinator_endpoint_;
   msg.kind = kind;
   msg.traffic_class = kind == kHeartbeat ? net::TrafficClass::kHeartbeat
                       : kind == kTelemetryReport
@@ -820,8 +835,8 @@ void ProviderAgent::send_heartbeat() {
   beat.accepting = !paused_;
   beat.running_jobs = running_job_ids();
   ++heartbeats_sent_;
-  send_control(kHeartbeat, beat,
-               kHeartbeatBytes + 24 * beat.running_jobs.size());
+  const std::uint64_t bytes = kHeartbeatBytes + 24 * beat.running_jobs.size();
+  send_control(kHeartbeat, std::move(beat), bytes);
 }
 
 void ProviderAgent::send_telemetry() {
@@ -829,7 +844,7 @@ void ProviderAgent::send_telemetry() {
   TelemetryReport report;
   report.machine_id = machine_id_;
   report.telemetry = sampler_.sample(env_.now());
-  send_control(kTelemetryReport, report,
+  send_control(kTelemetryReport, std::move(report),
                kTelemetryBytesPerGpu * std::max<std::size_t>(1, node_.gpu_count()));
 }
 

@@ -179,6 +179,9 @@ class ProviderAgent {
   bool paused_ = false;
   std::string machine_id_;
   sim::LaneId lane_ = sim::kMainLane;
+  // This agent's and the coordinator's transport endpoints (join()).
+  net::EndpointId endpoint_ = net::kNoEndpoint;
+  net::EndpointId coordinator_endpoint_ = net::kNoEndpoint;
   GpuTimeSlicer slicer_;
   std::string auth_token_;
   std::uint64_t heartbeat_seq_ = 0;

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -21,8 +22,17 @@ enum class NodeStatus { kActive, kPaused, kUnavailable, kDeparted };
 
 std::string_view node_status_name(NodeStatus s);
 
+/// Dense handle of a node-registry row, assigned by the database at the
+/// machine id's first upsert and never reused.  It is a durable column, so
+/// it survives crash recovery unchanged; callers resolve a machine id to
+/// it once and key their per-heartbeat writes by it.
+using NodeRow = std::uint32_t;
+inline constexpr NodeRow kNoRow = std::numeric_limits<NodeRow>::max();
+
 struct NodeRecord {
   std::string machine_id;
+  /// Assigned by upsert_node (a caller's value is ignored).
+  NodeRow row = kNoRow;
   std::string hostname;
   int gpu_count = 0;
   std::string gpu_model;

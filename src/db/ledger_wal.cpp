@@ -35,19 +35,25 @@ std::size_t TableImage::queue_rows() const {
 void apply_to_image(TableImage& image, const WalRecord& record,
                     std::size_t history_limit) {
   switch (record.op) {
-    case WalOp::kUpsertNode:
-      image.nodes[record.key] = record.node;
+    case WalOp::kUpsertNode: {
+      const NodeRow row = record.node.row;
+      if (row >= image.node_rows.size()) image.node_rows.resize(row + 1);
+      image.node_rows[row] = record.node;
+      image.node_index[record.key] = row;
       break;
+    }
     case WalOp::kSetNodeStatus: {
-      auto it = image.nodes.find(record.key);
-      if (it != image.nodes.end()) it->second.status = record.status;
+      auto it = image.node_index.find(record.key);
+      if (it != image.node_index.end()) {
+        image.node_rows[it->second].status = record.status;
+      }
       break;
     }
     case WalOp::kTouchHeartbeatBatch:
-      for (const auto& [machine_id, at] : record.batch_rows) {
-        auto it = image.nodes.find(machine_id);
-        if (it == image.nodes.end()) continue;
-        it->second.last_heartbeat = std::max(it->second.last_heartbeat, at);
+      for (const auto& [row, at] : record.batch_rows) {
+        if (row >= image.node_rows.size()) continue;
+        NodeRecord& node = image.node_rows[row];
+        node.last_heartbeat = std::max(node.last_heartbeat, at);
       }
       break;
     case WalOp::kOpenAllocation:
@@ -136,7 +142,7 @@ void apply_to_image(TableImage& image, const WalRecord& record,
   }
 }
 
-std::uint64_t LedgerWal::append(WalRecord record) {
+std::uint64_t LedgerWal::append(WalRecord&& record) {
   record.seq = next_seq_++;
   records_.push_back(std::move(record));
   ++stats_.appended;

@@ -54,9 +54,12 @@ std::size_t ShardedDatabase::rotate() const {
 void ShardedDatabase::absorb(LedgerOpKind kind, std::size_t shard,
                              std::string key, std::uint64_t allocation_id,
                              util::SimTime at) {
+  const bool was_empty = ledger_log_.empty();
   if (ledger_log_.absorb(
           LedgerEntry{kind, shard, std::move(key), allocation_id, at})) {
     flush_ledger(FlushTrigger::kThreshold);
+  } else if (was_empty && on_ledger_dirty_) {
+    on_ledger_dirty_();
   }
 }
 
@@ -130,7 +133,7 @@ std::size_t ShardedDatabase::flush_ledger(FlushTrigger trigger,
   return committed;
 }
 
-void ShardedDatabase::wal_append(WalRecord record, bool deferred) {
+void ShardedDatabase::wal_append(WalRecord&& record, bool deferred) {
   const std::size_t shard = record.shard;
   const std::uint64_t seq = wal_.append(std::move(record));
   if (deferred) return;  // durable at the next group commit
@@ -188,7 +191,7 @@ RecoveryReport ShardedDatabase::crash_and_recover() {
   armed_flush_crash_ = -1;
   flush_interrupted_ = false;
   rebuild_live_tables();
-  report.nodes = nodes_.size();
+  report.nodes = node_index_.size();
   report.allocations = ledger_.size();
   report.queue_rows = queued_rows_;
   report.job_states = image_.job_states.size();
@@ -205,7 +208,12 @@ void ShardedDatabase::rebuild_live_tables() {
   // WriteBehindLedger's pending COST entries are accounting, not state:
   // they persist so charging stays continuous across the crash (the
   // deferred group commits are still paid at the next flush).
-  nodes_ = image_.nodes;
+  node_rows_ = image_.node_rows;
+  node_index_ = image_.node_index;
+  node_row_shards_.clear();
+  for (const NodeRecord& row : node_rows_) {
+    node_row_shards_.push_back(shard_for_node(row.machine_id));
+  }
   ledger_.clear();
   ledger_index_.clear();
   for (const auto& [id, record] : image_.allocations) {
@@ -238,8 +246,8 @@ void ShardedDatabase::rebuild_live_tables() {
   // Row-ownership audit counters, recomputed from the rebuilt tables (the
   // same net counts the per-mutation ++/-- maintained).
   for (Shard& shard : shards_) shard.rows = 0;
-  for (const auto& [id, record] : nodes_) {
-    ++shards_[shard_for_node(id)].rows;
+  for (const auto& [id, row] : node_index_) {
+    ++shards_[node_row_shards_[row]].rows;
   }
   for (const AllocationRecord& record : ledger_) {
     ++shards_[shard_for_node(record.machine_id)].rows;
@@ -266,12 +274,18 @@ util::Status ShardedDatabase::upsert_node(NodeRecord record) {
   if (record.machine_id.empty()) {
     return util::invalid_argument_error("node record requires a machine id");
   }
+  auto [it, inserted] = node_index_.try_emplace(
+      record.machine_id, static_cast<NodeRow>(node_rows_.size()));
+  const NodeRow row = it->second;
+  if (inserted) {
+    node_rows_.emplace_back();
+    node_row_shards_.push_back(shard);
+    ++shards_[shard].rows;
+  }
+  record.row = row;
   WalRecord wal = make_wal(WalOp::kUpsertNode, shard, record.machine_id);
   wal.node = record;
-  auto [it, inserted] =
-      nodes_.insert_or_assign(record.machine_id, std::move(record));
-  (void)it;
-  if (inserted) ++shards_[shard].rows;
+  node_rows_[row] = std::move(record);
   wal_append(std::move(wal), /*deferred=*/false);
   return util::Status();
 }
@@ -279,22 +293,27 @@ util::Status ShardedDatabase::upsert_node(NodeRecord record) {
 util::StatusOr<NodeRecord> ShardedDatabase::node(
     const std::string& machine_id) const {
   charge(shard_for_node(machine_id), /*decision_path=*/false);
-  auto it = nodes_.find(machine_id);
-  if (it == nodes_.end()) {
+  auto it = node_index_.find(machine_id);
+  if (it == node_index_.end()) {
     return util::not_found_error("node " + machine_id + " not registered");
   }
-  return it->second;
+  return node_rows_[it->second];
+}
+
+NodeRow ShardedDatabase::node_row(const std::string& machine_id) const {
+  auto it = node_index_.find(machine_id);
+  return it == node_index_.end() ? kNoRow : it->second;
 }
 
 util::Status ShardedDatabase::set_node_status(const std::string& machine_id,
                                               NodeStatus s) {
   const std::size_t shard = shard_for_node(machine_id);
   charge(shard, /*decision_path=*/false);
-  auto it = nodes_.find(machine_id);
-  if (it == nodes_.end()) {
+  auto it = node_index_.find(machine_id);
+  if (it == node_index_.end()) {
     return util::not_found_error("node " + machine_id + " not registered");
   }
-  it->second.status = s;
+  node_rows_[it->second].status = s;
   WalRecord wal = make_wal(WalOp::kSetNodeStatus, shard, machine_id);
   wal.status = s;
   wal_append(std::move(wal), /*deferred=*/false);
@@ -302,26 +321,25 @@ util::Status ShardedDatabase::set_node_status(const std::string& machine_id,
 }
 
 std::size_t ShardedDatabase::touch_heartbeats(
-    const std::vector<std::pair<std::string, util::SimTime>>& batch) {
+    const std::vector<std::pair<NodeRow, util::SimTime>>& batch) {
   // One batched write per shard owning at least one row of the batch (the
-  // PR 2 coalescing contract, now multi-writer).  An empty batch still
-  // pays one round trip: the caller issued the statement, and any lane
-  // can answer it.
-  if (batch.empty()) {
-    charge(rotate(), /*decision_path=*/false);
-    return 0;
-  }
-  // Rows grouped per shard: one batched write AND one WAL record per
-  // touched shard.
-  std::vector<std::vector<std::pair<std::string, util::SimTime>>> by_shard(
+  // heartbeat coalescing contract, multi-writer).  Rows grouped per shard:
+  // one batched write AND one WAL record per touched shard.
+  std::vector<std::vector<std::pair<NodeRow, util::SimTime>>> by_shard(
       shards_.size());
   std::size_t applied = 0;
-  for (const auto& [machine_id, at] : batch) {
-    by_shard[shard_for_node(machine_id)].emplace_back(machine_id, at);
-    auto it = nodes_.find(machine_id);
-    if (it == nodes_.end()) continue;
-    it->second.last_heartbeat = std::max(it->second.last_heartbeat, at);
+  for (const auto& [row, at] : batch) {
+    if (row >= node_rows_.size()) continue;
+    by_shard[node_row_shards_[row]].emplace_back(row, at);
+    NodeRecord& node = node_rows_[row];
+    node.last_heartbeat = std::max(node.last_heartbeat, at);
     ++applied;
+  }
+  // A batch that touched nothing still pays one round trip: the caller
+  // issued the statement, and any lane can answer it.
+  if (applied == 0) {
+    charge(rotate(), /*decision_path=*/false);
+    return 0;
   }
   for (std::size_t shard = 0; shard < by_shard.size(); ++shard) {
     if (by_shard[shard].empty()) continue;
@@ -339,8 +357,8 @@ std::vector<NodeRecord> ShardedDatabase::nodes() const {
     charge(shard, /*decision_path=*/false);
   }
   std::vector<NodeRecord> out;
-  out.reserve(nodes_.size());
-  for (const auto& [id, record] : nodes_) out.push_back(record);
+  out.reserve(node_index_.size());
+  for (const auto& [id, row] : node_index_) out.push_back(node_rows_[row]);
   return out;
 }
 
@@ -350,8 +368,8 @@ std::vector<NodeRecord> ShardedDatabase::nodes_with_status(
     charge(shard, /*decision_path=*/false);
   }
   std::vector<NodeRecord> out;
-  for (const auto& [id, record] : nodes_) {
-    if (record.status == s) out.push_back(record);
+  for (const auto& [id, row] : node_index_) {
+    if (node_rows_[row].status == s) out.push_back(node_rows_[row]);
   }
   return out;
 }

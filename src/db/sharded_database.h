@@ -61,9 +61,10 @@ namespace gpunion::db {
 struct DbConfig {
   /// Writer shards the tables are partitioned across.
   int shard_count = 4;
-  /// Background ledger-flush cadence.  The database is passive (no event
-  /// loop of its own); the owner — Platform — drives flush_ledger() from a
-  /// timer at this period.
+  /// Background ledger-flush delay.  The database is passive (no event
+  /// loop of its own); the owner — Platform — arms one flush_ledger() this
+  /// long after the ledger goes from empty to non-empty
+  /// (set_on_ledger_dirty).
   util::Duration flush_interval = 2.0;
   /// Pending ledger entries that force an immediate threshold flush.
   std::size_t flush_threshold = 256;
@@ -94,15 +95,21 @@ class ShardedDatabase {
   /// Rejects an empty machine id (after paying the round trip).
   util::Status upsert_node(NodeRecord record);
   util::StatusOr<NodeRecord> node(const std::string& machine_id) const;
+  /// Row handle of a registered machine (kNoRow when unknown): the key
+  /// touch_heartbeats takes.  Uncharged — it is the key the upsert's round
+  /// trip already returned.
+  NodeRow node_row(const std::string& machine_id) const;
   util::Status set_node_status(const std::string& machine_id, NodeStatus s);
-  /// Applies many heartbeat touches with one batched write per shard
-  /// holding at least one row of the batch.  Coalescing per-beat writes
-  /// into periodic flushes is what keeps the §5.2 "database contention" op
-  /// rate O(flushes) instead of O(heartbeats).  A touch never moves a row's
-  /// last_heartbeat backwards; unknown machines are skipped.  Returns the
-  /// number of rows updated.
+  /// Applies many heartbeat touches, keyed by row handle, with one batched
+  /// write per shard holding at least one row of the batch.  Coalescing
+  /// per-beat writes into periodic flushes is what keeps the §5.2
+  /// "database contention" op rate O(flushes) instead of O(heartbeats).
+  /// Rows, images and owner shards are found by index: no key hashing per
+  /// row.  A touch never moves a row's last_heartbeat backwards; unknown
+  /// rows are skipped, and a batch with no known row costs one round trip
+  /// like an empty one.  Returns the number of rows updated.
   std::size_t touch_heartbeats(
-      const std::vector<std::pair<std::string, util::SimTime>>& batch);
+      const std::vector<std::pair<NodeRow, util::SimTime>>& batch);
   std::vector<NodeRecord> nodes() const;
   std::vector<NodeRecord> nodes_with_status(NodeStatus s) const;
 
@@ -236,6 +243,12 @@ class ShardedDatabase {
     clock_ = std::move(clock);
   }
   obs::Tracer* tracer() const { return tracer_; }
+  /// Invoked when an absorb takes the write-behind ledger from empty to
+  /// non-empty (and did not threshold-flush it): the owner arms its
+  /// interval flush from here, so an idle database schedules nothing.
+  void set_on_ledger_dirty(std::function<void()> hook) {
+    on_ledger_dirty_ = std::move(hook);
+  }
 
   /// Attaches per-shard commit threads (parallel execution mode).  The
   /// executor must outlive the database or be detached with nullptr.
@@ -330,7 +343,7 @@ class ShardedDatabase {
   /// their shard image to the next group commit; everything else is
   /// durable at call time — the synchronous round trip IS the write — so
   /// the shard's image advances (and the applied prefix truncates) here.
-  void wal_append(WalRecord record, bool deferred);
+  void wal_append(WalRecord&& record, bool deferred);
   /// Applies SHARD's pending WAL records with seq <= upto to the image.
   void advance_image(std::size_t shard, std::uint64_t upto_seq);
   /// Replaces every live table with a materialization of image_.
@@ -349,7 +362,12 @@ class ShardedDatabase {
   bool flush_interrupted_ = false;
 
   // Logical tables (merged view; each row owned by exactly one shard).
-  std::map<std::string, NodeRecord> nodes_;  // ordered: deterministic scans
+  // Node registry: rows by NodeRow, their owner shards (derived from the
+  // machine id once, at insert or rebuild), and the ordered id index for
+  // scans and edge lookups.
+  std::vector<NodeRecord> node_rows_;
+  std::vector<std::size_t> node_row_shards_;
+  std::map<std::string, NodeRow> node_index_;
   std::vector<AllocationRecord> ledger_;
   std::unordered_map<std::uint64_t, std::size_t> ledger_index_;
   std::vector<QueuePartition> queue_parts_;  // one per shard
@@ -369,6 +387,7 @@ class ShardedDatabase {
   ShardExecutor* executor_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
   std::function<util::SimTime()> clock_;
+  std::function<void()> on_ledger_dirty_;
   RecoveryReport last_recovery_report_;
   std::uint64_t recoveries_ = 0;
 };

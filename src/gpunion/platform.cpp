@@ -91,16 +91,23 @@ Platform::Platform(sim::Environment& env, CampusConfig config)
   metrics_timer_ = std::make_unique<sim::PeriodicTimer>(
       env_, config_.scrape_interval, [this] { refresh_metrics(); }, lane_,
       /*exclusive=*/true);
-  db_flush_timer_ = std::make_unique<sim::PeriodicTimer>(
-      env_, config_.db.flush_interval,
-      [this] {
-        database_.flush_ledger(db::FlushTrigger::kInterval, env_.now());
-      },
-      lane_);
+  database_.set_on_ledger_dirty([this] { arm_db_flush(); });
   faults_ = std::make_unique<sim::FaultInjector>(env_);
 }
 
-Platform::~Platform() = default;
+Platform::~Platform() {
+  // The armed flush captures `this`.
+  if (db_flush_event_ != sim::kInvalidEvent) env_.cancel(db_flush_event_);
+}
+
+void Platform::arm_db_flush() {
+  if (db_flush_event_ != sim::kInvalidEvent || control_plane_down_) return;
+  db_flush_event_ = env_.schedule_after_on(
+      lane_, config_.db.flush_interval, [this] {
+        db_flush_event_ = sim::kInvalidEvent;
+        database_.flush_ledger(db::FlushTrigger::kInterval, env_.now());
+      });
+}
 
 void Platform::register_default_images() {
   registry_.allow_base("nvidia/cuda:12.1-runtime");
@@ -216,7 +223,6 @@ void Platform::start() {
   for (auto& provider : agents_) provider->join();
   metrics_timer_->start();
   scraper_->start();
-  db_flush_timer_->start();
   if (api_) api_->start();
 }
 
@@ -296,7 +302,11 @@ void Platform::crash_control_plane(util::Duration downtime) {
   coordinator_->crash();
   // No group commits while the process is down; the WAL keeps every acked
   // mutation the ledger had not flushed.
-  db_flush_timer_->stop();
+  control_plane_down_ = true;
+  if (db_flush_event_ != sim::kInvalidEvent) {
+    env_.cancel(db_flush_event_);
+    db_flush_event_ = sim::kInvalidEvent;
+  }
   if (crash_hook_) crash_hook_();
   env_.schedule_exclusive_after(downtime, [this] {
     // Restart order matters: durable tables first (the coordinator rebuilds
@@ -308,8 +318,11 @@ void Platform::crash_control_plane(util::Duration downtime) {
         << " replayed=" << report.replayed
         << " skipped=" << report.skipped_applied
         << " job_states=" << report.job_states;
+    control_plane_down_ = false;
     coordinator_->recover();
-    db_flush_timer_->start();
+    // Recovery's own writes arm the flush; a ledger left dirty by the
+    // crash needs it armed here.
+    if (!database_.ledger().empty()) arm_db_flush();
     if (recover_hook_) recover_hook_();
   });
 }

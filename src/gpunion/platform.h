@@ -101,7 +101,8 @@ class Platform {
   sim::FaultInjector& fault_injector() { return *faults_; }
 
   /// Crashes the campus control plane in place: the coordinator stops
-  /// acking (messages drop), the background flush timer stops, and after
+  /// acking (messages drop), the pending background flush is cancelled
+  /// (and re-armed on recovery if the ledger still holds entries), and after
   /// `downtime` the database recovers from its WAL and the coordinator
   /// rebuilds live jobs, indexes and in-flight dispatches from the durable
   /// tables.  Nodes, agents and running work are untouched — this is the
@@ -130,6 +131,11 @@ class Platform {
 
   bool control_plane_crashed() const;
 
+  /// True while a background ledger flush is scheduled.  One is armed only
+  /// when the write-behind ledger turns dirty, so an idle campus schedules
+  /// none.
+  bool db_flush_armed() const { return db_flush_event_ != sim::kInvalidEvent; }
+
   /// Fleet-wide *delivered* GPU utilization over [t0, t1], computed exactly
   /// from the allocation ledger: each allocation contributes its delivered
   /// compute (training saturates its capacity share; an interactive session
@@ -149,6 +155,9 @@ class Platform {
   void attach_image_registry_endpoint();
   void wire_owner_reclaim();
   void refresh_metrics();
+  /// Schedules the background ledger flush unless one is pending or the
+  /// control plane is down.
+  void arm_db_flush();
 
   sim::Environment& env_;
   CampusConfig config_;
@@ -172,9 +181,13 @@ class Platform {
   std::map<std::string, agent::ProviderAgent*> agents_by_hostname_;
   std::unique_ptr<monitor::Scraper> scraper_;
   std::unique_ptr<sim::PeriodicTimer> metrics_timer_;
-  /// Background write-behind commits (CampusConfig::db.flush_interval); the
-  /// threshold flush happens inside the database itself.
-  std::unique_ptr<sim::PeriodicTimer> db_flush_timer_;
+  /// The background write-behind commit: one flush armed
+  /// CampusConfig::db.flush_interval after the ledger turns dirty
+  /// (kInvalidEvent while none is pending), so an idle campus schedules no
+  /// flush events.  The threshold flush happens inside the database itself.
+  sim::EventId db_flush_event_ = sim::kInvalidEvent;
+  /// Set from a control-plane crash to its recovery: no group commits.
+  bool control_plane_down_ = false;
   std::unique_ptr<sim::FaultInjector> faults_;
   std::function<void()> crash_hook_;
   std::function<void()> recover_hook_;

@@ -9,6 +9,7 @@
 
 #include <any>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 
@@ -16,6 +17,13 @@ namespace gpunion::net {
 
 /// Stable endpoint identifier (machine id or "coordinator").
 using NodeId = std::string;
+
+/// Dense per-transport endpoint index, resolved once from a NodeId
+/// (Transport::resolve) and stable for the transport's lifetime: an
+/// endpoint that unregisters and re-registers keeps its id.
+using EndpointId = std::uint32_t;
+inline constexpr EndpointId kNoEndpoint =
+    std::numeric_limits<EndpointId>::max();
 
 /// Traffic classes accounted separately, mirroring the paper's analysis of
 /// control vs checkpoint/backup traffic on the campus LAN.
@@ -43,6 +51,12 @@ struct Message {
   int kind = 0;
   /// Typed payload; receivers unwrap with std::any_cast.
   std::any payload;
+  /// Resolved endpoints of `from` / `to`.  A sender that resolved them
+  /// once may set them to spare the transport its by-name lookups; send()
+  /// fills both, so a delivered message always carries them.  They must
+  /// name the same endpoints as the strings.
+  EndpointId from_ep = kNoEndpoint;
+  EndpointId to_ep = kNoEndpoint;
 };
 
 }  // namespace gpunion::net

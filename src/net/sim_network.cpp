@@ -24,13 +24,25 @@ SimNetwork::SimNetwork(sim::Environment& env, SimNetworkConfig config)
   backbone_.bytes_per_sec = config_.backbone_gbps * kBytesPerGbit;
 }
 
-SimNetwork::Endpoint& SimNetwork::endpoint_for(const NodeId& id) {
-  auto [it, inserted] = endpoints_.try_emplace(id);
+EndpointId SimNetwork::endpoint_for(const NodeId& id) {
+  auto [it, inserted] = endpoint_ids_.try_emplace(
+      id, static_cast<EndpointId>(endpoints_.size()));
   if (inserted) {
-    it->second.access.bytes_per_sec =
+    endpoints_.emplace_back().access.bytes_per_sec =
         config_.default_access_gbps * kBytesPerGbit;
   }
   return it->second;
+}
+
+const SimNetwork::Endpoint* SimNetwork::find_endpoint(const NodeId& id) const {
+  auto it = endpoint_ids_.find(id);
+  return it == endpoint_ids_.end() ? nullptr : &endpoints_[it->second];
+}
+
+EndpointId SimNetwork::resolve(const NodeId& id) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = endpoint_ids_.find(id);
+  return it == endpoint_ids_.end() ? kNoEndpoint : it->second;
 }
 
 void SimNetwork::register_endpoint(const NodeId& id, MessageHandler handler) {
@@ -41,7 +53,7 @@ void SimNetwork::register_endpoint(const NodeId& id, MessageHandler handler,
                                    std::uint32_t lane) {
   assert(handler && "endpoint requires a handler");
   std::lock_guard<std::mutex> lock(mu_);
-  Endpoint& ep = endpoint_for(id);
+  Endpoint& ep = endpoints_[endpoint_for(id)];
   ep.handler = std::move(handler);
   ep.lane = lane;
   ep.registered = true;
@@ -49,16 +61,17 @@ void SimNetwork::register_endpoint(const NodeId& id, MessageHandler handler,
 
 void SimNetwork::unregister_endpoint(const NodeId& id) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = endpoints_.find(id);
-  if (it == endpoints_.end()) return;
-  it->second.registered = false;
-  it->second.handler = nullptr;
+  auto it = endpoint_ids_.find(id);
+  if (it == endpoint_ids_.end()) return;
+  Endpoint& ep = endpoints_[it->second];
+  ep.registered = false;
+  ep.handler = nullptr;
 }
 
 void SimNetwork::set_access_gbps(const NodeId& id, double gbps) {
   assert(gbps > 0);
   std::lock_guard<std::mutex> lock(mu_);
-  endpoint_for(id).access.bytes_per_sec = gbps * kBytesPerGbit;
+  endpoints_[endpoint_for(id)].access.bytes_per_sec = gbps * kBytesPerGbit;
 }
 
 void SimNetwork::set_path_latency(const NodeId& a, const NodeId& b,
@@ -86,10 +99,9 @@ util::Duration SimNetwork::path_latency(const NodeId& a,
 double SimNetwork::path_gbps(const NodeId& a, const NodeId& b) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto rate_of = [this](const NodeId& id) {
-    auto it = endpoints_.find(id);
-    return it == endpoints_.end()
-               ? config_.default_access_gbps * kBytesPerGbit
-               : it->second.access.bytes_per_sec;
+    const Endpoint* ep = find_endpoint(id);
+    return ep == nullptr ? config_.default_access_gbps * kBytesPerGbit
+                         : ep->access.bytes_per_sec;
   };
   return std::min({rate_of(a), backbone_.bytes_per_sec, rate_of(b)}) /
          kBytesPerGbit;
@@ -97,19 +109,27 @@ double SimNetwork::path_gbps(const NodeId& a, const NodeId& b) const {
 
 void SimNetwork::set_partitioned(const NodeId& id, bool partitioned) {
   std::lock_guard<std::mutex> lock(mu_);
-  endpoint_for(id).partitioned = partitioned;
+  endpoints_[endpoint_for(id)].partitioned = partitioned;
 }
 
 bool SimNetwork::is_partitioned(const NodeId& id) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = endpoints_.find(id);
-  return it != endpoints_.end() && it->second.partitioned;
+  const Endpoint* ep = find_endpoint(id);
+  return ep != nullptr && ep->partitioned;
 }
 
 void SimNetwork::set_drop_probability(double p) {
   assert(p >= 0.0 && p <= 1.0);
   std::lock_guard<std::mutex> lock(mu_);
   config_.drop_probability = p;
+}
+
+SimNetwork::ClassBytes& SimNetwork::bucket(std::uint64_t index) {
+  if (hot_bucket_ == nullptr || index != hot_bucket_index_) {
+    hot_bucket_ = &buckets_[index];
+    hot_bucket_index_ = index;
+  }
+  return *hot_bucket_;
 }
 
 void SimNetwork::account(const Message& msg, util::SimTime start,
@@ -124,38 +144,44 @@ void SimNetwork::account(const Message& msg, util::SimTime start,
   const auto last =
       static_cast<std::uint64_t>(end / config_.accounting_bucket);
   if (last <= first) {
-    buckets_[first][cls] += msg.size_bytes;
+    bucket(first)[cls] += msg.size_bytes;
     return;
   }
   // Spread proportionally over the buckets the transmission spans, so a
   // long transfer does not spike a single bucket.
   const double duration = end - start;
   std::uint64_t booked = 0;
-  for (std::uint64_t bucket = first; bucket <= last; ++bucket) {
+  for (std::uint64_t index = first; index <= last; ++index) {
     const double bucket_start =
-        static_cast<double>(bucket) * config_.accounting_bucket;
+        static_cast<double>(index) * config_.accounting_bucket;
     const double overlap =
         std::min(end, bucket_start + config_.accounting_bucket) -
         std::max(start, bucket_start);
     const auto share = static_cast<std::uint64_t>(
         static_cast<double>(msg.size_bytes) * overlap / duration);
-    buckets_[bucket][cls] += share;
+    bucket(index)[cls] += share;
     booked += share;
   }
   // Rounding remainder lands in the final bucket.
-  buckets_[last][cls] += msg.size_bytes - booked;
+  bucket(last)[cls] += msg.size_bytes - booked;
 }
 
 util::Status SimNetwork::send(Message msg) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto dst_it = endpoints_.find(msg.to);
-  if (dst_it == endpoints_.end()) {
-    ++dropped_;
-    return util::not_found_error("unknown destination " + msg.to);
+  if (msg.to_ep == kNoEndpoint) {
+    auto it = endpoint_ids_.find(msg.to);
+    if (it == endpoint_ids_.end()) {
+      ++dropped_;
+      return util::not_found_error("unknown destination " + msg.to);
+    }
+    msg.to_ep = it->second;
   }
-
-  Endpoint& src = endpoint_for(msg.from);
-  Endpoint& dst = dst_it->second;
+  // May create the source endpoint: resolve both ids before taking
+  // references into the vector.
+  if (msg.from_ep == kNoEndpoint) msg.from_ep = endpoint_for(msg.from);
+  assert(msg.to_ep < endpoints_.size() && msg.from_ep < endpoints_.size());
+  Endpoint& src = endpoints_[msg.from_ep];
+  Endpoint& dst = endpoints_[msg.to_ep];
   const sim::LaneId dst_lane = dst.lane;
 
   const util::SimTime now = env_.now();
@@ -238,17 +264,16 @@ util::Status SimNetwork::send(Message msg) {
     MessageHandler handler;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      auto it = endpoints_.find(m.to);
+      const Endpoint& ep = endpoints_[m.to_ep];
       // Re-check on delivery: the endpoint may have departed or partitioned
       // while the message was in flight.
-      if (it == endpoints_.end() || !it->second.registered ||
-          it->second.partitioned || !it->second.handler) {
+      if (!ep.registered || ep.partitioned || !ep.handler) {
         ++dropped_;
         GPUNION_DLOG("net") << "dropped in-flight message to " << m.to;
         return;
       }
       ++delivered_;
-      handler = it->second.handler;
+      handler = ep.handler;
     }
     handler(std::move(m));
   });

@@ -9,6 +9,11 @@
 // checkpoint backups from one node serialize on its access link exactly like
 // a real NIC.  Bytes are accounted per traffic class and per time bucket,
 // which bench/network_traffic uses to report peak bandwidth utilization.
+//
+// Endpoints live in a vector indexed by EndpointId.  The NodeId -> id map
+// is the edge: register/unregister/resolve and the NodeId-taking topology
+// calls use it, while a send whose message carries resolved ids — and
+// every delivery — indexes the vector directly.
 #pragma once
 
 #include <array>
@@ -69,6 +74,7 @@ class SimNetwork : public Transport {
   void register_endpoint(const NodeId& id, MessageHandler handler,
                          std::uint32_t lane) override;
   void unregister_endpoint(const NodeId& id) override;
+  EndpointId resolve(const NodeId& id) const override;
   util::Status send(Message msg) override;
 
   // --- Topology control -----------------------------------------------------
@@ -157,7 +163,11 @@ class SimNetwork : public Transport {
     bool registered = false;
   };
 
-  Endpoint& endpoint_for(const NodeId& id);
+  /// The id of `id`'s endpoint, created on first use (default access link,
+  /// unregistered).  Callers hold mu_; the vector may grow.
+  EndpointId endpoint_for(const NodeId& id);
+  /// Nullptr when `id` was never seen.  Callers hold mu_.
+  const Endpoint* find_endpoint(const NodeId& id) const;
   util::Duration path_latency_locked(const NodeId& a, const NodeId& b) const;
   /// Books `msg`'s bytes into accounting buckets, spread uniformly over the
   /// transmission interval [start, end] (a point in time for control).
@@ -175,20 +185,25 @@ class SimNetwork : public Transport {
   // bookkeeping — handlers are copied out and invoked without it.
   mutable std::mutex mu_;
   util::Rng drop_rng_;
-  std::unordered_map<NodeId, Endpoint> endpoints_;
+  std::vector<Endpoint> endpoints_;  // by EndpointId; never shrinks
+  std::unordered_map<NodeId, EndpointId> endpoint_ids_;
   Link backbone_;
   Link backup_channel_;  // shared scavenger-class pipe for checkpoints
   Link wan_channel_;     // shared capped pipe for inter-campus federation
   // Per-pair WAN circuits (federation_pair_gbps > 0): lazily created, one
   // Link per endpoint pair so saturation stays pairwise.
   std::map<std::pair<NodeId, NodeId>, Link> federation_pair_links_;
-  std::array<std::uint64_t, static_cast<std::size_t>(TrafficClass::kClassCount)>
-      class_bytes_{};
+  using ClassBytes =
+      std::array<std::uint64_t,
+                 static_cast<std::size_t>(TrafficClass::kClassCount)>;
+  ClassBytes class_bytes_{};
+  /// buckets_[index], through a one-entry cache: nearly every send books
+  /// into the current bucket, and map values never move.
+  ClassBytes& bucket(std::uint64_t index);
   // bucket index -> per-class bytes
-  std::unordered_map<std::uint64_t,
-                     std::array<std::uint64_t, static_cast<std::size_t>(
-                                                   TrafficClass::kClassCount)>>
-      buckets_;
+  std::unordered_map<std::uint64_t, ClassBytes> buckets_;
+  std::uint64_t hot_bucket_index_ = 0;
+  ClassBytes* hot_bucket_ = nullptr;
   std::uint64_t delivered_ = 0;
   std::uint64_t dropped_ = 0;
   // Sparse: only endpoint pairs with an explicit override.

@@ -40,10 +40,15 @@ class Transport {
   /// Detaches the endpoint; in-flight messages to it are dropped.
   virtual void unregister_endpoint(const NodeId& id) = 0;
 
+  /// The dense id of `id`'s endpoint, for Message::from_ep / to_ep;
+  /// kNoEndpoint when the transport has never seen `id`.
+  virtual EndpointId resolve(const NodeId& id) const = 0;
+
   /// Queues `msg` for delivery.  Returns kNotFound if the destination has
-  /// never been registered; delivery itself is best-effort (the destination
-  /// may unregister, partition or drop while the message is in flight —
-  /// exactly the volatility GPUnion is designed around).
+  /// never been registered (a set `msg.to_ep` skips the by-name lookup);
+  /// delivery itself is best-effort (the destination may unregister,
+  /// partition or drop while the message is in flight — exactly the
+  /// volatility GPUnion is designed around).
   virtual util::Status send(Message msg) = 0;
 };
 

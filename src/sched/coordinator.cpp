@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <string_view>
-#include <unordered_set>
 
 #include "util/ids.h"
 #include "util/logging.h"
@@ -310,16 +309,12 @@ const JobRecord* Coordinator::job(const std::string& job_id) const {
 
 const std::set<std::string>& Coordinator::jobs_on(
     const std::string& machine_id) const {
-  static const std::set<std::string> kEmpty;
-  auto it = jobs_by_node_.find(machine_id);
-  return it == jobs_by_node_.end() ? kEmpty : it->second;
+  return indexed_jobs(jobs_by_node_, machine_id);
 }
 
 const std::set<std::string>& Coordinator::displaced_from(
     const std::string& machine_id) const {
-  static const std::set<std::string> kEmpty;
-  auto it = displaced_by_node_.find(machine_id);
-  return it == displaced_by_node_.end() ? kEmpty : it->second;
+  return indexed_jobs(displaced_by_node_, machine_id);
 }
 
 OperationalStats Coordinator::operational_stats() const {
@@ -342,8 +337,13 @@ OperationalStats Coordinator::operational_stats() const {
   };
   for (const auto& [job_id, record] : jobs_) census(record);
   for (const auto& [job_id, record] : archive_) census(record);
-  out.nodes_with_assignments = jobs_by_node_.size();
-  out.nodes_with_displaced = displaced_by_node_.size();
+  auto occupied = [](const JobIndex& index) {
+    return static_cast<std::size_t>(std::count_if(
+        index.begin(), index.end(),
+        [](const std::set<std::string>& jobs) { return !jobs.empty(); }));
+  };
+  out.nodes_with_assignments = occupied(jobs_by_node_);
+  out.nodes_with_displaced = occupied(displaced_by_node_);
   return out;
 }
 
@@ -351,23 +351,50 @@ OperationalStats Coordinator::operational_stats() const {
 // Index + archive maintenance
 // ---------------------------------------------------------------------------
 
+void Coordinator::index_job(JobIndex& index, const std::string& machine_id,
+                            const std::string& job_id) {
+  const NodeHandle handle = directory_.handle_of(machine_id);
+  if (handle == kNoNode) return;
+  if (handle >= index.size()) index.resize(handle + 1);
+  index[handle].insert(job_id);
+}
+
+void Coordinator::unindex_job(JobIndex& index, const std::string& machine_id,
+                              const std::string& job_id) {
+  const NodeHandle handle = directory_.handle_of(machine_id);
+  if (handle < index.size()) index[handle].erase(job_id);
+}
+
+const std::set<std::string>& Coordinator::indexed_jobs(
+    const JobIndex& index, const std::string& machine_id) const {
+  static const std::set<std::string> kEmpty;
+  const NodeHandle handle = directory_.handle_of(machine_id);
+  return handle < index.size() ? index[handle] : kEmpty;
+}
+
+void Coordinator::bind_endpoint(NodeHandle handle) {
+  const net::EndpointId endpoint =
+      transport_.resolve(directory_.node(handle).machine_id);
+  if (endpoint == net::kNoEndpoint) return;
+  if (endpoint >= handle_by_endpoint_.size()) {
+    handle_by_endpoint_.resize(endpoint + 1, kNoNode);
+  }
+  handle_by_endpoint_[endpoint] = handle;
+}
+
 void Coordinator::set_assignment(JobRecord& record,
                                  const std::string& machine_id) {
   if (record.node == machine_id) return;
   clear_assignment(record);
   record.node = machine_id;
   if (!machine_id.empty()) {
-    jobs_by_node_[machine_id].insert(record.spec.id);
+    index_job(jobs_by_node_, machine_id, record.spec.id);
   }
 }
 
 void Coordinator::clear_assignment(JobRecord& record) {
   if (record.node.empty()) return;
-  auto it = jobs_by_node_.find(record.node);
-  if (it != jobs_by_node_.end()) {
-    it->second.erase(record.spec.id);
-    if (it->second.empty()) jobs_by_node_.erase(it);
-  }
+  unindex_job(jobs_by_node_, record.node, record.spec.id);
   record.node.clear();
 }
 
@@ -375,15 +402,11 @@ void Coordinator::set_displaced_from(JobRecord& record,
                                      const std::string& machine_id) {
   if (record.displaced_from == machine_id) return;
   if (!record.displaced_from.empty()) {
-    auto it = displaced_by_node_.find(record.displaced_from);
-    if (it != displaced_by_node_.end()) {
-      it->second.erase(record.spec.id);
-      if (it->second.empty()) displaced_by_node_.erase(it);
-    }
+    unindex_job(displaced_by_node_, record.displaced_from, record.spec.id);
   }
   record.displaced_from = machine_id;
   if (!machine_id.empty()) {
-    displaced_by_node_[machine_id].insert(record.spec.id);
+    index_job(displaced_by_node_, machine_id, record.spec.id);
   }
 }
 
@@ -396,13 +419,7 @@ void Coordinator::maybe_retire(const std::string& job_id) {
   }
   // Unindex without clearing record.node: the archived record keeps its
   // last assignment for reporting.
-  if (!record.node.empty()) {
-    auto node_it = jobs_by_node_.find(record.node);
-    if (node_it != jobs_by_node_.end()) {
-      node_it->second.erase(job_id);
-      if (node_it->second.empty()) jobs_by_node_.erase(node_it);
-    }
-  }
+  if (!record.node.empty()) unindex_job(jobs_by_node_, record.node, job_id);
   set_displaced_from(record, "");  // unindexes and clears the field
   // Compact: drop spec payload nobody reads after the terminal transition
   // (outcome and accounting fields stay).  shrink_to_fit actually returns
@@ -459,10 +476,10 @@ void Coordinator::touch_heartbeat_db(NodeHandle handle) {
 
 void Coordinator::flush_heartbeat_db() {
   if (pending_touches_.empty()) return;
-  std::vector<std::pair<std::string, util::SimTime>> batch;
+  std::vector<std::pair<db::NodeRow, util::SimTime>> batch;
   batch.reserve(pending_touches_.size());
   for (const NodeHandle handle : pending_touches_) {
-    batch.emplace_back(directory_.node(handle).machine_id,
+    batch.emplace_back(directory_.node(handle).db_row,
                        pending_touch_at_[handle]);
     pending_touch_at_[handle] = -1;
   }
@@ -506,6 +523,7 @@ void Coordinator::crash() {
   archive_.clear();
   jobs_by_node_.clear();
   displaced_by_node_.clear();
+  handle_by_endpoint_.clear();
   in_flight_.clear();
   cause_hints_.clear();
   reserved_ids_.clear();  // gateway recovery re-reserves from durable rows
@@ -592,7 +610,11 @@ void Coordinator::rebuild_from_db() {
     info.last_heartbeat = row.last_heartbeat;
     info.registered_at = row.registered_at;
     info.token_hash = row.auth_token_hash;
+    // Handles are reassigned here (machine-id order); the registry row
+    // handle is a durable column and comes back unchanged.
+    info.db_row = row.row;
     const NodeHandle handle = directory_.upsert(std::move(info)).handle;
+    bind_endpoint(handle);
     if (active) {
       // Fresh detection window from the restart: a node that died during
       // the outage is flagged one deadline after recovery, not instantly.
@@ -700,7 +722,8 @@ void Coordinator::handle_message(net::Message&& msg) {
       handle_register(std::any_cast<const agent::RegisterRequest&>(msg.payload));
       break;
     case agent::kHeartbeat:
-      handle_heartbeat(std::any_cast<const agent::Heartbeat&>(msg.payload));
+      handle_heartbeat(std::any_cast<const agent::Heartbeat&>(msg.payload),
+                       msg.from_ep);
       break;
     case agent::kTelemetryReport:
       handle_telemetry(
@@ -750,6 +773,7 @@ void Coordinator::handle_register(const agent::RegisterRequest& request) {
        existing->status == db::NodeStatus::kUnavailable);
 
   const std::string token = util::make_auth_token(rng_);
+  const std::string token_hash = util::Sha256::hex_of(token);
 
   NodeInfo info;
   info.machine_id = request.machine_id;
@@ -773,7 +797,10 @@ void Coordinator::handle_register(const agent::RegisterRequest& request) {
   info.last_heartbeat = env_.now();
   info.registered_at =
       existing != nullptr ? existing->registered_at : env_.now();
-  info.token_hash = util::Sha256::hex_of(token);
+  info.token_hash = token_hash;
+  // The issued token verifies by construction: its first beat is a string
+  // compare, not a SHA-256.
+  info.verified_token = token;
   const NodeHandle handle = directory_.upsert(std::move(info)).handle;
   // A (re)registration starts from a clean slate: no dispatches in flight.
   in_flight(handle) = {};
@@ -787,7 +814,7 @@ void Coordinator::handle_register(const agent::RegisterRequest& request) {
   db_record.status = db::NodeStatus::kActive;
   db_record.registered_at = env_.now();
   db_record.last_heartbeat = env_.now();
-  db_record.auth_token_hash = util::Sha256::hex_of(token);
+  db_record.auth_token_hash = token_hash;
   // Full hardware profile: a restarted coordinator rebuilds its scheduling
   // directory from this registry row alone.
   db_record.owner_group = request.owner_group;
@@ -800,6 +827,10 @@ void Coordinator::handle_register(const agent::RegisterRequest& request) {
   db_record.timeslice_oversub_ratio = request.timeslice_oversub_ratio;
   db_record.host_swap_gbps = request.host_swap_gbps;
   (void)database_.upsert_node(std::move(db_record));
+  const db::NodeRow db_row = database_.node_row(request.machine_id);
+  directory_.update(handle,
+                    [db_row](NodeInfo& node) { node.db_row = db_row; });
+  bind_endpoint(handle);
 
   agent::RegisterResponse response;
   response.accepted = true;
@@ -820,10 +851,18 @@ void Coordinator::handle_register(const agent::RegisterRequest& request) {
   }
 }
 
-void Coordinator::handle_heartbeat(const agent::Heartbeat& beat) {
-  // The one id lookup of the beat; everything behind it is by handle.
-  const NodeHandle handle = directory_.handle_of(beat.machine_id);
-  if (handle == kNoNode) return;  // never registered; ignore
+void Coordinator::handle_heartbeat(const agent::Heartbeat& beat,
+                                   net::EndpointId from) {
+  // The sender's endpoint names the node (bound at registration and
+  // recovery), so the beat costs no id lookup; everything behind this is
+  // by handle.  A beat from an unbound endpoint, or claiming another
+  // node's id, is ignored like one from a node that never registered.
+  const NodeHandle handle =
+      from < handle_by_endpoint_.size() ? handle_by_endpoint_[from] : kNoNode;
+  if (handle == kNoNode ||
+      directory_.node(handle).machine_id != beat.machine_id) {
+    return;
+  }
   const NodeInfo& node = directory_.node(handle);
   const bool verified = beat.auth_token == node.verified_token;
   if (!verified && util::Sha256::hex_of(beat.auth_token) != node.token_hash) {
@@ -877,26 +916,35 @@ void Coordinator::handle_heartbeat(const agent::Heartbeat& beat) {
     request_pass();
   }
 
-  reconcile_with_heartbeat(beat);
+  reconcile_with_heartbeat(beat, handle);
 }
 
-void Coordinator::reconcile_with_heartbeat(const agent::Heartbeat& beat) {
+void Coordinator::reconcile_with_heartbeat(const agent::Heartbeat& beat,
+                                           NodeHandle handle) {
   // A completion/kill notification can be lost in transit; the heartbeat's
   // job list is the agent's ground truth.  Records that have been
   // "running" on this node for several beats but are absent from the list
   // are reconciled: finished if our progress estimate says so, otherwise
   // treated as an interruption and requeued.  The per-node index makes
-  // this O(active-on-node); the hash set makes membership O(1) instead of
-  // the old O(records x running_jobs) nested scan.
-  auto node_jobs = jobs_by_node_.find(beat.machine_id);
-  if (node_jobs == jobs_by_node_.end()) return;
+  // this O(active-on-node), and membership is a binary search over the
+  // beat's list, so nothing is hashed per beat.
+  if (handle >= jobs_by_node_.size() || jobs_by_node_[handle].empty()) {
+    return;
+  }
   const util::Duration settle = 3.0 * config_.heartbeat_interval;
-  const std::unordered_set<std::string_view> hosted(
-      beat.running_jobs.begin(), beat.running_jobs.end());
+  // Sorted for binary search (the agent already sends them in id order).
+  std::vector<std::string_view> hosted(beat.running_jobs.begin(),
+                                       beat.running_jobs.end());
+  std::sort(hosted.begin(), hosted.end());
   // Copy the id list: reconciliation mutates the index it walks.
-  const std::vector<std::string> assigned(node_jobs->second.begin(),
-                                          node_jobs->second.end());
+  const std::vector<std::string> assigned(jobs_by_node_[handle].begin(),
+                                          jobs_by_node_[handle].end());
   for (const auto& job_id : assigned) {
+    // A hosted job is consistent whatever its record says.
+    if (std::binary_search(hosted.begin(), hosted.end(),
+                           std::string_view(job_id))) {
+      continue;
+    }
     auto it = jobs_.find(job_id);
     if (it == jobs_.end()) continue;
     JobRecord& record = it->second;
@@ -905,7 +953,6 @@ void Coordinator::reconcile_with_heartbeat(const agent::Heartbeat& beat) {
         env_.now() - record.running_since < settle) {
       continue;
     }
-    if (hosted.contains(std::string_view(job_id))) continue;
 
     const bool finished =
         record.spec.type == workload::JobType::kInteractive
@@ -1486,37 +1533,35 @@ void Coordinator::interrupt_job(JobRecord& record, agent::DepartureKind cause,
 void Coordinator::interrupt_jobs_on(const std::string& machine_id,
                                     agent::DepartureKind cause,
                                     util::SimTime at) {
-  auto node_jobs = jobs_by_node_.find(machine_id);
-  if (node_jobs != jobs_by_node_.end()) {
-    // Copy: interruption unbinds the jobs this walks (id order preserved).
-    const std::vector<std::string> assigned(node_jobs->second.begin(),
-                                            node_jobs->second.end());
-    for (const auto& job_id : assigned) {
-      auto it = jobs_.find(job_id);
-      if (it == jobs_.end()) continue;
-      JobRecord& record = it->second;
-      if (record.node != machine_id) continue;
-      if (record.phase == JobPhase::kRunning) {
-        interrupt_job(record, cause,
-                      cause == agent::DepartureKind::kScheduled
-                          ? db::AllocationOutcome::kMigrated
-                          : db::AllocationOutcome::kLost,
-                      at);
-        maybe_retire(job_id);  // sessions disrupt terminally
-      } else if (record.phase == JobPhase::kDispatching) {
-        // In-flight dispatch to a dead node: no allocation opened yet.
-        clear_assignment(record);
-        requeue(record, /*front=*/true);
-      } else if (record.phase == JobPhase::kCancelled &&
-                 record.awaiting_dispatch_settle) {
-        // Cancelled mid-dispatch to a node that just died: its in-flight
-        // counters were wholesale-erased with the node, so there is
-        // nothing left to settle.  Retire now — otherwise the pending
-        // dispatch timeout could steal a decrement from a fresh dispatch
-        // after the node re-registers.
-        record.awaiting_dispatch_settle = false;
-        maybe_retire(job_id);
-      }
+  // Copy: interruption unbinds the jobs this walks (id order preserved).
+  const std::set<std::string>& node_jobs =
+      indexed_jobs(jobs_by_node_, machine_id);
+  const std::vector<std::string> assigned(node_jobs.begin(), node_jobs.end());
+  for (const auto& job_id : assigned) {
+    auto it = jobs_.find(job_id);
+    if (it == jobs_.end()) continue;
+    JobRecord& record = it->second;
+    if (record.node != machine_id) continue;
+    if (record.phase == JobPhase::kRunning) {
+      interrupt_job(record, cause,
+                    cause == agent::DepartureKind::kScheduled
+                        ? db::AllocationOutcome::kMigrated
+                        : db::AllocationOutcome::kLost,
+                    at);
+      maybe_retire(job_id);  // sessions disrupt terminally
+    } else if (record.phase == JobPhase::kDispatching) {
+      // In-flight dispatch to a dead node: no allocation opened yet.
+      clear_assignment(record);
+      requeue(record, /*front=*/true);
+    } else if (record.phase == JobPhase::kCancelled &&
+               record.awaiting_dispatch_settle) {
+      // Cancelled mid-dispatch to a node that just died: its in-flight
+      // counters were wholesale-erased with the node, so there is
+      // nothing left to settle.  Retire now — otherwise the pending
+      // dispatch timeout could steal a decrement from a fresh dispatch
+      // after the node re-registers.
+      record.awaiting_dispatch_settle = false;
+      maybe_retire(job_id);
     }
   }
   request_pass();
@@ -1549,26 +1594,21 @@ void Coordinator::on_node_returned(const std::string& machine_id) {
   }
   // Pending jobs displaced from this node prefer to land back on it.
   // The displaced-from index makes a node's return O(its displaced jobs).
-  auto displaced = displaced_by_node_.find(machine_id);
-  if (displaced != displaced_by_node_.end()) {
-    for (const auto& job_id : displaced->second) {
-      auto it = jobs_.find(job_id);
-      if (it == jobs_.end()) continue;
-      JobRecord& record = it->second;
-      if (record.phase == JobPhase::kPending) {
-        record.preferred_node = machine_id;
-        record.migrate_back_target = machine_id;
-        persist_job(record);
-      }
+  for (const auto& job_id : indexed_jobs(displaced_by_node_, machine_id)) {
+    auto it = jobs_.find(job_id);
+    if (it == jobs_.end()) continue;
+    JobRecord& record = it->second;
+    if (record.phase == JobPhase::kPending) {
+      record.preferred_node = machine_id;
+      record.migrate_back_target = machine_id;
+      persist_job(record);
     }
   }
   request_pass();
 }
 
 void Coordinator::trigger_migrate_back(const std::string& machine_id) {
-  auto displaced = displaced_by_node_.find(machine_id);
-  if (displaced == displaced_by_node_.end()) return;
-  for (const auto& job_id : displaced->second) {
+  for (const auto& job_id : indexed_jobs(displaced_by_node_, machine_id)) {
     auto it = jobs_.find(job_id);
     if (it == jobs_.end()) continue;
     JobRecord& record = it->second;

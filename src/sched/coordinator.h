@@ -13,7 +13,6 @@
 #include <map>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "agent/proto.h"
@@ -333,10 +332,12 @@ class Coordinator {
   // message handlers
   void handle_message(net::Message&& msg);
   void handle_register(const agent::RegisterRequest& request);
-  void handle_heartbeat(const agent::Heartbeat& beat);
+  /// `from` is the transport endpoint the beat arrived from.
+  void handle_heartbeat(const agent::Heartbeat& beat, net::EndpointId from);
   /// Repairs records whose completion/kill notifications were lost, using
   /// the heartbeat's hosted-job list as the agent's ground truth.
-  void reconcile_with_heartbeat(const agent::Heartbeat& beat);
+  void reconcile_with_heartbeat(const agent::Heartbeat& beat,
+                                NodeHandle handle);
   void handle_telemetry(const agent::TelemetryReport& report);
   void handle_dispatch_result(const agent::DispatchResult& result);
   void handle_job_started(const agent::JobStarted& started);
@@ -363,6 +364,20 @@ class Coordinator {
                         const std::string& machine_id);
 
   // index + archive maintenance
+  /// Per-node job-id sets, indexed by node handle.
+  using JobIndex = std::vector<std::set<std::string>>;
+  /// Files / unfiles `job_id` under `machine_id`'s handle (no-op for ids
+  /// outside the directory).
+  void index_job(JobIndex& index, const std::string& machine_id,
+                 const std::string& job_id);
+  void unindex_job(JobIndex& index, const std::string& machine_id,
+                   const std::string& job_id);
+  const std::set<std::string>& indexed_jobs(
+      const JobIndex& index, const std::string& machine_id) const;
+  /// Maps the node's transport endpoint to its handle: its beats are
+  /// identified by the endpoint they arrive from, without hashing the
+  /// machine id.
+  void bind_endpoint(NodeHandle handle);
   /// Binds record.node = machine_id and files it in jobs_by_node_.
   void set_assignment(JobRecord& record, const std::string& machine_id);
   /// Clears record.node and removes it from jobs_by_node_.
@@ -432,10 +447,14 @@ class Coordinator {
   // matter how much history accumulates.  Both ordered for determinism.
   std::map<std::string, JobRecord> jobs_;
   std::map<std::string, JobRecord> archive_;
-  /// Live jobs with record.node == key (dispatching or running).
-  std::unordered_map<std::string, std::set<std::string>> jobs_by_node_;
-  /// Live jobs with record.displaced_from == key (migrate-back candidates).
-  std::unordered_map<std::string, std::set<std::string>> displaced_by_node_;
+  /// Live jobs with record.node == the node (dispatching or running).
+  JobIndex jobs_by_node_;
+  /// Live jobs with record.displaced_from == the node (migrate-back
+  /// candidates).
+  JobIndex displaced_by_node_;
+  /// Node handle by transport endpoint (kNoNode = unbound); filled at
+  /// registration and recovery.
+  std::vector<NodeHandle> handle_by_endpoint_;
   /// Dispatches sent but not yet acked, per node: the heartbeat re-subtracts
   /// them from the agent's free counts.
   struct InFlight {

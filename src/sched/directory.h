@@ -41,6 +41,9 @@ inline constexpr NodeHandle kNoNode = std::numeric_limits<NodeHandle>::max();
 struct NodeInfo {
   std::string machine_id;
   NodeHandle handle = kNoNode;  // assigned by Directory::upsert
+  /// The node's registry row in the system database (heartbeat writes are
+  /// keyed by it).
+  db::NodeRow db_row = db::kNoRow;
   std::string hostname;
   std::string owner_group;
   std::string gpu_model;

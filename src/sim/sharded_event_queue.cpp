@@ -7,6 +7,9 @@ namespace gpunion::sim {
 
 namespace {
 constexpr EventId kLocalMask = (EventId{1} << 48) - 1;
+// Every id a shard's EventQueue can issue, over the whole run, must fit
+// below the shard tag.
+static_assert(EventQueue::kIdBits <= 48, "local EventIds exceed 48 bits");
 }  // namespace
 
 ShardedEventQueue::ShardedEventQueue(std::size_t shards) {

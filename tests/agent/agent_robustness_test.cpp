@@ -25,6 +25,9 @@ class DroppingTransport : public net::Transport {
   void unregister_endpoint(const net::NodeId& id) override {
     inner_.unregister_endpoint(id);
   }
+  net::EndpointId resolve(const net::NodeId& id) const override {
+    return inner_.resolve(id);
+  }
   util::Status send(net::Message msg) override {
     auto it = drops_.find(msg.kind);
     if (it != drops_.end() && it->second > 0) {

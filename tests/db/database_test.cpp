@@ -55,26 +55,40 @@ TEST(DatabaseTest, BatchedHeartbeatTouch) {
   ASSERT_TRUE(database.upsert_node(node("m-1")).is_ok());
   ASSERT_TRUE(database.upsert_node(node("m-2")).is_ok());
   ASSERT_TRUE(database.upsert_node(node("m-3")).is_ok());
+  // Row handles are dense, in first-upsert order, and stored on the row.
+  const NodeRow m1 = database.node_row("m-1");
+  const NodeRow m2 = database.node_row("m-2");
+  const NodeRow m3 = database.node_row("m-3");
+  EXPECT_EQ(m1, 0u);
+  EXPECT_EQ(m2, 1u);
+  EXPECT_EQ(m3, 2u);
+  EXPECT_EQ(database.node("m-2")->row, m2);
+  EXPECT_EQ(database.node_row("ghost"), kNoRow);
+  const NodeRow ghost = 99;
   // A one-row batch is the single-node touch.
-  EXPECT_EQ(database.touch_heartbeats({{"m-1", 4.0}}), 1u);
+  EXPECT_EQ(database.touch_heartbeats({{m1, 4.0}}), 1u);
   EXPECT_DOUBLE_EQ(database.node("m-1")->last_heartbeat, 4.0);
-  // One batched write per shard the batch touches; the unknown machine is
-  // skipped but its shard still served the statement.
+  // One batched write per shard the batch touches; the unknown row is
+  // skipped and charges nothing.
   std::set<std::size_t> shards;
-  for (const char* id : {"m-1", "m-2", "m-3", "ghost"}) {
+  for (const char* id : {"m-1", "m-2", "m-3"}) {
     shards.insert(database.shard_for_node(id));
   }
   const std::uint64_t before = database.op_count();
   EXPECT_EQ(database.touch_heartbeats(
-                {{"m-1", 10.0}, {"m-2", 11.0}, {"m-3", 12.0}, {"ghost", 9.0}}),
+                {{m1, 10.0}, {m2, 11.0}, {m3, 12.0}, {ghost, 9.0}}),
             3u);
   EXPECT_EQ(database.op_count(), before + shards.size());
   EXPECT_DOUBLE_EQ(database.node("m-1")->last_heartbeat, 10.0);
   EXPECT_DOUBLE_EQ(database.node("m-3")->last_heartbeat, 12.0);
   // A stale batched value never rolls a fresher row backwards.
-  EXPECT_EQ(database.touch_heartbeats({{"m-1", 5.0}}), 1u);
+  EXPECT_EQ(database.touch_heartbeats({{m1, 5.0}}), 1u);
   EXPECT_DOUBLE_EQ(database.node("m-1")->last_heartbeat, 10.0);
-  EXPECT_EQ(database.touch_heartbeats({{"ghost", 1.0}}), 0u);
+  // A batch with no known row is one round trip, like an empty one.
+  const std::uint64_t before_ghost = database.op_count();
+  EXPECT_EQ(database.touch_heartbeats({{ghost, 1.0}}), 0u);
+  EXPECT_EQ(database.touch_heartbeats({}), 0u);
+  EXPECT_EQ(database.op_count(), before_ghost + 2);
   EXPECT_EQ(database.node("ghost").status().code(),
             util::StatusCode::kNotFound);
 }

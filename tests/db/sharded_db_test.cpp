@@ -78,7 +78,9 @@ TEST(ShardedDbTest, PerShardOpAccounting) {
   EXPECT_EQ(sharded.shard_ops(shard_a), 1u);
   EXPECT_EQ(sharded.shard_ops(shard_b), 0u);
   ASSERT_TRUE(sharded.upsert_node(node(second)).is_ok());
-  EXPECT_EQ(sharded.touch_heartbeats({{second, 5.0}}), 1u);
+  const NodeRow first_row = sharded.node_row(first);
+  const NodeRow second_row = sharded.node_row(second);
+  EXPECT_EQ(sharded.touch_heartbeats({{second_row, 5.0}}), 1u);
   EXPECT_EQ(sharded.shard_ops(shard_a), 1u);
   EXPECT_EQ(sharded.shard_ops(shard_b), 2u);
   // Rows are owned where the ops landed.
@@ -90,7 +92,8 @@ TEST(ShardedDbTest, PerShardOpAccounting) {
   // A batched heartbeat touch charges ONE op per shard in the batch.
   const std::uint64_t before_a = sharded.shard_ops(shard_a);
   const std::uint64_t before_b = sharded.shard_ops(shard_b);
-  EXPECT_EQ(sharded.touch_heartbeats({{first, 10.0}, {second, 10.0}}), 2u);
+  EXPECT_EQ(
+      sharded.touch_heartbeats({{first_row, 10.0}, {second_row, 10.0}}), 2u);
   EXPECT_EQ(sharded.shard_ops(shard_a), before_a + 1);
   EXPECT_EQ(sharded.shard_ops(shard_b), before_b + 1);
 }
@@ -168,7 +171,9 @@ void drive(ShardedDatabase& database) {
   ASSERT_TRUE(database.upsert_node(node("m-3")).is_ok());
   ASSERT_TRUE(
       database.set_node_status("m-3", NodeStatus::kUnavailable).is_ok());
-  EXPECT_EQ(database.touch_heartbeats({{"m-1", 5.0}, {"m-2", 6.0}}), 2u);
+  EXPECT_EQ(database.touch_heartbeats({{database.node_row("m-1"), 5.0},
+                                      {database.node_row("m-2"), 6.0}}),
+            2u);
 
   const auto a1 = database.open_allocation("job-1", "m-1", {0}, 10.0);
   const auto a2 = database.open_allocation("job-2", "m-2", {0}, 11.0, 0.25,
@@ -331,6 +336,8 @@ class ImageDifferential {
     std::uint64_t stolen_pops = 0;
     std::uint64_t removals = 0;
     std::uint64_t rejected_closes = 0;
+    std::uint64_t recoveries = 0;
+    std::uint64_t touched_rows = 0;  // handle-keyed touches that applied
   };
 
   ImageDifferential(std::uint64_t seed, int shards)
@@ -352,6 +359,14 @@ class ImageDifferential {
         expect_live_equals_image("after flush at step " +
                                  std::to_string(step));
       }
+      if (rng_.bernoulli(0.02)) {
+        // Recovery rebuilds the live tables — row handles included — from
+        // the image; later handle-keyed touches must land on the same rows.
+        (void)db_.crash_and_recover();
+        ++recoveries_;
+        expect_live_equals_image("after recovery at step " +
+                                 std::to_string(step));
+      }
       if (::testing::Test::HasFatalFailure()) return;
     }
     db_.flush_ledger();
@@ -362,6 +377,8 @@ class ImageDifferential {
     coverage->stolen_pops += db_.stolen_pops();
     coverage->removals += removals_;
     coverage->rejected_closes += rejected_closes_;
+    coverage->recoveries += recoveries_;
+    coverage->touched_rows += touched_rows_;
   }
 
  private:
@@ -406,13 +423,20 @@ class ImageDifferential {
         break;
       }
       case 2: {
-        std::vector<std::pair<std::string, util::SimTime>> batch;
+        // Touches are keyed by row handle, resolved once per machine id
+        // (kNoRow for an unregistered one); a few are out-of-range
+        // handles.  Unknown rows must be skipped on both sides.
+        std::vector<std::pair<NodeRow, util::SimTime>> batch;
         const auto rows = rng_.uniform_int(0, 4);
         for (std::int64_t i = 0; i < rows; ++i) {
+          const NodeRow row =
+              rng_.bernoulli(0.1)
+                  ? static_cast<NodeRow>(rng_.uniform_int(12, 40))
+                  : db_.node_row(machine());
           // Some touches are stale: they must not roll a row backwards.
-          batch.emplace_back(machine(), now_ - rng_.uniform(0.0, 3.0));
+          batch.emplace_back(row, now_ - rng_.uniform(0.0, 3.0));
         }
-        (void)db_.touch_heartbeats(batch);
+        touched_rows_ += db_.touch_heartbeats(batch);
         break;
       }
       case 3: {
@@ -490,12 +514,19 @@ class ImageDifferential {
     ASSERT_EQ(db_.wal().depth(), 0u) << "flush left WAL records behind";
     const TableImage& image = db_.durable_image();
 
-    // Node registry, machine-id order on both sides.
+    // Node registry, machine-id order on both sides; row handles agree
+    // and index the image's rows.
     const std::vector<NodeRecord> nodes = db_.nodes();
-    ASSERT_EQ(nodes.size(), image.nodes.size());
-    auto image_node = image.nodes.begin();
+    ASSERT_EQ(nodes.size(), image.node_index.size());
+    auto image_node = image.node_index.begin();
     for (const NodeRecord& live : nodes) {
-      const NodeRecord& durable = (image_node++)->second;
+      const auto& [machine_id, row] = *image_node++;
+      ASSERT_LT(row, image.node_rows.size());
+      const NodeRecord& durable = image.node_rows[row];
+      EXPECT_EQ(durable.machine_id, machine_id);
+      EXPECT_EQ(durable.row, row);
+      EXPECT_EQ(live.row, row);
+      EXPECT_EQ(db_.node_row(machine_id), row);
       EXPECT_EQ(live.machine_id, durable.machine_id);
       EXPECT_EQ(live.gpu_count, durable.gpu_count);
       EXPECT_EQ(live.status, durable.status);
@@ -580,6 +611,8 @@ class ImageDifferential {
   std::uint64_t pops_checked_ = 0;
   std::uint64_t removals_ = 0;
   std::uint64_t rejected_closes_ = 0;
+  std::uint64_t recoveries_ = 0;
+  std::uint64_t touched_rows_ = 0;
 };
 
 TEST(ShardedDbTest, RandomizedLiveTablesEqualDurableImage) {
@@ -604,6 +637,8 @@ TEST(ShardedDbTest, RandomizedLiveTablesEqualDurableImage) {
     EXPECT_GT(coverage.threshold_flushes, 10 * count);
     EXPECT_GT(coverage.removals, 4 * count);
     EXPECT_GT(coverage.rejected_closes, count);
+    EXPECT_GT(coverage.recoveries, count);
+    EXPECT_GT(coverage.touched_rows, 20 * count);
     if (shards > 1) {
       EXPECT_GT(coverage.stolen_pops, 10 * count);
     }

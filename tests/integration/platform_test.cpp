@@ -23,6 +23,52 @@ TEST(PlatformTest, StartBringsFleetOnline) {
   EXPECT_EQ(platform.coordinator().directory().total_gpus(), 22);
 }
 
+TEST(PlatformTest, IdlePlatformArmsNoLedgerFlush) {
+  // The background ledger flush is one-shot, armed when the write-behind
+  // ledger turns dirty.  With nothing writing to the database (no jobs, no
+  // telemetry, no scrape inside the window), an hour passes without a
+  // single flush being scheduled.
+  sim::Environment env(6);
+  CampusConfig config = paper_campus();
+  config.agent_defaults.enable_telemetry = false;
+  config.scrape_interval = util::hours(4);
+  const util::Duration flush_interval = config.db.flush_interval;
+  Platform platform(env, std::move(config));
+  platform.start();
+  env.run_until(10.0);
+  const db::LedgerStats before = platform.database().ledger().stats();
+  for (int minute = 1; minute <= 60; ++minute) {
+    env.run_until(10.0 + 60.0 * minute);
+    ASSERT_FALSE(platform.db_flush_armed()) << "minute " << minute;
+  }
+  EXPECT_EQ(platform.database().ledger().stats().absorbed, before.absorbed);
+  EXPECT_EQ(platform.database().ledger().stats().flushes, before.flushes);
+
+  // A submit dirties the ledger: exactly one flush, flush_interval later.
+  Client client(platform, "theory");
+  ASSERT_TRUE(client.submit_training(workload::cnn_small(), 0.5).ok());
+  EXPECT_TRUE(platform.db_flush_armed());
+  EXPECT_FALSE(platform.database().ledger().empty());
+  const util::SimTime dirty_at = env.now();
+  env.run_until(dirty_at + flush_interval + 1e-6);
+  EXPECT_EQ(platform.database().ledger().stats().interval_flushes,
+            before.interval_flushes + 1);
+
+  // A crash cancels the pending flush; recovery re-arms it for what the
+  // ledger still holds.
+  env.run_until(env.now() + 60.0);
+  ASSERT_TRUE(client.submit_training(workload::cnn_small(), 0.5).ok());
+  ASSERT_TRUE(platform.db_flush_armed());
+  platform.crash_control_plane(/*downtime=*/30.0);
+  EXPECT_FALSE(platform.db_flush_armed());
+  env.run_until(env.now() + 10.0);
+  EXPECT_FALSE(platform.db_flush_armed());
+  env.run_until(env.now() + 25.0);  // recovered
+  ASSERT_FALSE(platform.control_plane_crashed());
+  env.run_until(env.now() + flush_interval + 1e-6);
+  EXPECT_TRUE(platform.database().ledger().empty());
+}
+
 TEST(PlatformTest, ClientSubmitRunsJob) {
   sim::Environment env(2);
   Platform platform(env, paper_campus());

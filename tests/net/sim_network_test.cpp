@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <string>
 #include <vector>
 
 namespace gpunion::net {
@@ -339,6 +341,90 @@ TEST(SimNetworkTest, FederationBytesAccountedPerPeer) {
   EXPECT_EQ(f.net.federation_bytes_between("gw-a", "gw-c"), 70u);
   EXPECT_EQ(f.net.federation_bytes_between("gw-b", "gw-c"), 0u);
   EXPECT_EQ(f.net.federation_peer_bytes().size(), 2u);
+}
+
+TEST(SimNetworkTest, ResolvedIdsAreStableAndSkipNameLookups) {
+  Fixture f;
+  EXPECT_EQ(f.net.resolve("a"), kNoEndpoint);
+  f.attach("a");
+  f.attach("b");
+  const EndpointId a = f.net.resolve("a");
+  const EndpointId b = f.net.resolve("b");
+  ASSERT_NE(a, kNoEndpoint);
+  ASSERT_NE(b, kNoEndpoint);
+  EXPECT_NE(a, b);
+  // Leaving and re-joining keeps the id.
+  f.net.unregister_endpoint("b");
+  f.attach("b");
+  EXPECT_EQ(f.net.resolve("b"), b);
+  Message m;
+  m.from = "a";
+  m.to = "b";
+  m.from_ep = a;
+  m.to_ep = b;
+  ASSERT_TRUE(f.net.send(std::move(m)).is_ok());
+  // By-name sends are resolved by the network; deliveries carry both ids.
+  Message named;
+  named.from = "b";
+  named.to = "a";
+  ASSERT_TRUE(f.net.send(std::move(named)).is_ok());
+  f.env.run();
+  ASSERT_EQ(f.received.size(), 2u);
+  for (const Message& got : f.received) {
+    EXPECT_EQ(got.from_ep, f.net.resolve(got.from));
+    EXPECT_EQ(got.to_ep, f.net.resolve(got.to));
+  }
+  EXPECT_EQ(f.net.messages_delivered(), 2u);
+}
+
+TEST(SimNetworkTest, ParallelLanesRegisterAndResolveWhileOthersSend) {
+  // kParallel: one lane keeps growing the endpoint table (register +
+  // resolve) while sender lanes on other workers send, half of them by
+  // resolved id.  Under TSan this checks the table's growth is covered by
+  // the network lock.
+  sim::EnvConfig config;
+  config.mode = sim::ExecutionMode::kParallel;
+  config.worker_threads = 4;
+  sim::Environment env(3, config);
+  SimNetwork net(env, {});
+  constexpr int kSenders = 3;
+  constexpr int kRounds = 200;
+  std::atomic<int> delivered{0};
+  std::vector<sim::LaneId> lanes;
+  for (int i = 0; i < kSenders; ++i) {
+    lanes.push_back(env.register_lane("sender-" + std::to_string(i)));
+    net.register_endpoint(
+        "s" + std::to_string(i),
+        [&delivered](Message&&) { delivered.fetch_add(1); }, lanes.back());
+  }
+  const sim::LaneId registrar = env.register_lane("registrar");
+  std::atomic<int> resolved{0};
+  for (int k = 0; k < kRounds; ++k) {
+    env.schedule_at_on(registrar, 0.01 * k, [&net, &resolved, registrar, k] {
+      const NodeId id = "late-" + std::to_string(k);
+      net.register_endpoint(id, [](Message&&) {}, registrar);
+      if (net.resolve(id) != kNoEndpoint) resolved.fetch_add(1);
+    });
+    for (int i = 0; i < kSenders; ++i) {
+      env.schedule_at_on(lanes[i], 0.01 * k + 0.005, [&net, i, k] {
+        Message m;
+        m.from = "s" + std::to_string(i);
+        m.to = "s" + std::to_string((i + 1) % kSenders);
+        m.size_bytes = 100;
+        if (k % 2 == 1) {
+          m.from_ep = net.resolve(m.from);
+          m.to_ep = net.resolve(m.to);
+        }
+        EXPECT_TRUE(net.send(std::move(m)).is_ok());
+      });
+    }
+  }
+  env.run_until(5.0);
+  EXPECT_EQ(resolved.load(), kRounds);
+  EXPECT_EQ(delivered.load(), kSenders * kRounds);
+  EXPECT_EQ(net.messages_delivered(),
+            static_cast<std::uint64_t>(kSenders * kRounds));
+  EXPECT_EQ(net.messages_dropped(), 0u);
 }
 
 }  // namespace

@@ -12,6 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
 #include "agent/provider_agent.h"
 #include "net/sim_network.h"
 #include "workload/profiles.h"
@@ -194,6 +197,85 @@ TEST_F(CoordinatorRecoveryTest, PendingJobsKeepTheirQueuePositionAcrossCrash) {
   add_agent("ws-1");
   env_.run_until(env_.now() + util::hours(0.3));
   EXPECT_EQ(coordinator_->stats().jobs_completed, 2);
+}
+
+TEST_F(CoordinatorRecoveryTest, HeartbeatsFollowTheirOwnRowsWhenHandlesChange) {
+  make_coordinator();
+  // Register in DESCENDING machine-id order.  Directory handles follow
+  // registration order, and recovery reassigns them in machine-id order,
+  // so every handle changes across the crash; the database row handles
+  // (a durable column) must not.
+  for (int i = 0; i < 6; ++i) {
+    nodes_.push_back(std::make_unique<hw::NodeModel>(
+        hw::workstation_3090("ws-" + std::to_string(i))));
+    agent::AgentConfig config;
+    config.owner_group = "nlp";
+    config.enable_telemetry = false;
+    config.heartbeat_interval = 2.0;
+    agents_.push_back(std::make_unique<agent::ProviderAgent>(
+        env_, net_, *nodes_.back(), registry_, store_, config));
+  }
+  std::vector<agent::ProviderAgent*> order;
+  for (const auto& agent : agents_) order.push_back(agent.get());
+  std::sort(order.begin(), order.end(), [](const auto* a, const auto* b) {
+    return a->machine_id() > b->machine_id();
+  });
+  for (agent::ProviderAgent* agent : order) {
+    agent->join();
+    env_.run_until(env_.now() + 1.0);
+  }
+  env_.run_until(env_.now() + 10.0);
+  std::map<std::string, NodeHandle> handle_before;
+  std::map<std::string, db::NodeRow> row_before;
+  for (const auto& agent : agents_) {
+    const std::string& id = agent->machine_id();
+    ASSERT_EQ(agent->state(), agent::AgentState::kActive) << id;
+    handle_before[id] = coordinator_->directory().handle_of(id);
+    row_before[id] = database_.node_row(id);
+  }
+
+  // Platform restart order: the database recovers first, the coordinator
+  // rebuilds from it.
+  coordinator_->crash();
+  env_.run_until(env_.now() + 1.0);
+  (void)database_.crash_and_recover();
+  coordinator_->recover();
+  int handles_changed = 0;
+  for (const auto& agent : agents_) {
+    const std::string& id = agent->machine_id();
+    if (coordinator_->directory().handle_of(id) != handle_before[id]) {
+      ++handles_changed;
+    }
+    EXPECT_EQ(database_.node_row(id), row_before[id]) << id;
+    EXPECT_EQ(coordinator_->directory().find(id)->db_row, row_before[id])
+        << id;
+  }
+  ASSERT_EQ(handles_changed, 6);
+
+  // One node goes silent; the rest keep beating.  Each beat must advance
+  // its OWN row, live and durable: the silent node's row stays put, every
+  // other row keeps up with the clock.
+  agent::ProviderAgent* silent = agents_.front().get();
+  env_.run_until(env_.now() + 5.0);
+  silent->depart_emergency();
+  const util::SimTime silent_at = env_.now();
+  env_.run_until(env_.now() + 30.0);
+  const db::TableImage& image = database_.durable_image();
+  for (const auto& agent : agents_) {
+    const std::string& id = agent->machine_id();
+    SCOPED_TRACE(id);
+    const util::SimTime live = database_.node(id)->last_heartbeat;
+    const util::SimTime durable =
+        image.node_rows[image.node_index.at(id)].last_heartbeat;
+    EXPECT_DOUBLE_EQ(durable, live);
+    if (agent.get() == silent) {
+      EXPECT_LE(live, silent_at);
+      EXPECT_GT(live, silent_at - 5.0);
+    } else {
+      // A beat every 2 s, flushed to the database every 2 s.
+      EXPECT_GE(live, env_.now() - 4.5);
+    }
+  }
 }
 
 }  // namespace
