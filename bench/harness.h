@@ -1,16 +1,13 @@
-// Shared experiment-harness helpers for the bench/ binaries.
-//
-// Each bench regenerates one table or figure from the paper.  The helpers
-// here keep the scenario wiring (campus + trace replay + churn injection)
-// and the table formatting consistent across experiments.
+// Shared helpers for the bench/ binaries: banners, table rules, wall-clock
+// timing and a walk over every job record.  The paper-shape scenarios
+// (fig3, table1, training impact, network traffic) are ctest properties
+// under tests/integration/; perfbench/ is the end-to-end benchmark.
 #pragma once
 
 #include <chrono>
 #include <cstdio>
 #include <functional>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "baseline/presets.h"
 #include "gpunion/client.h"
@@ -42,79 +39,6 @@ inline double wall_seconds(const std::function<void()>& fn) {
       .count();
 }
 
-/// A running platform with its environment and the preset applied.
-struct Scenario {
-  std::unique_ptr<sim::Environment> env;
-  std::unique_ptr<Platform> platform;
-  baseline::Preset preset = baseline::Preset::kGpunion;
-
-  sched::Coordinator& coordinator() { return platform->coordinator(); }
-};
-
-/// Builds and starts a campus under `preset`.  `mutate` may adjust the
-/// config (fleet size, intervals) before construction.
-inline Scenario make_scenario(
-    baseline::Preset preset, std::uint64_t seed,
-    const std::function<void(CampusConfig&)>& mutate = {}) {
-  Scenario scenario;
-  scenario.preset = preset;
-  scenario.env = std::make_unique<sim::Environment>(seed);
-  CampusConfig config = paper_campus();
-  baseline::apply_preset(config, preset);
-  if (mutate) mutate(config);
-  scenario.platform = std::make_unique<Platform>(*scenario.env, config);
-  scenario.platform->start();
-  scenario.env->run_until(5.0);
-  return scenario;
-}
-
-/// Schedules a submission trace (adapted to the preset) into the scenario.
-inline void replay_trace(Scenario& scenario, const workload::Trace& trace) {
-  for (const auto& event : trace) {
-    auto job = baseline::adapt_job(event.job, scenario.preset);
-    scenario.env->schedule_at(
-        std::max(event.at, scenario.env->now()), [&scenario, job]() mutable {
-          (void)scenario.coordinator().submit(std::move(job));
-        });
-  }
-}
-
-/// Schedules churn events into the scenario.
-inline void inject_churn(Scenario& scenario,
-                         const std::vector<workload::Interruption>& events) {
-  for (const auto& event : events) {
-    scenario.env->schedule_at(
-        std::max(event.at, scenario.env->now()),
-        [&scenario, event] { scenario.platform->inject_interruption(event); });
-  }
-}
-
-/// Gives up on training jobs that have queued longer than `patience`
-/// (users abandon work they cannot run — the latent-demand effect that
-/// separates silos from sharing in Fig. 2).
-inline void enable_give_up(Scenario& scenario, util::Duration patience,
-                           util::Duration sweep_every = 3600.0) {
-  auto* env = scenario.env.get();
-  auto* platform = scenario.platform.get();
-  auto sweep = std::make_shared<std::function<void()>>();
-  *sweep = [env, platform, patience, sweep] {
-    auto& coordinator = platform->coordinator();
-    std::vector<std::string> to_cancel;
-    for (const auto& [job_id, record] : coordinator.jobs()) {
-      if (record.phase == sched::JobPhase::kPending &&
-          record.first_dispatched_at < 0 &&
-          env->now() - record.submitted_at > patience) {
-        to_cancel.push_back(job_id);
-      }
-    }
-    for (const auto& job_id : to_cancel) {
-      (void)coordinator.cancel(job_id);
-    }
-    env->schedule_after(3600.0, *sweep);
-  };
-  env->schedule_after(sweep_every, *sweep);
-}
-
 /// Applies `fn(job_id, record)` to every record, live and archived.
 template <typename Fn>
 void for_each_job(const sched::Coordinator& coordinator, Fn&& fn) {
@@ -122,16 +46,6 @@ void for_each_job(const sched::Coordinator& coordinator, Fn&& fn) {
   for (const auto& [job_id, record] : coordinator.archive()) {
     fn(job_id, record);
   }
-}
-
-/// Count of jobs in phase `phase` (terminal phases live in the archive).
-inline int count_phase(const Scenario& scenario, sched::JobPhase phase) {
-  int n = 0;
-  for_each_job(scenario.platform->coordinator(),
-               [&](const std::string&, const sched::JobRecord& record) {
-                 if (record.phase == phase) ++n;
-               });
-  return n;
 }
 
 }  // namespace gpunion::bench

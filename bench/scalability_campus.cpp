@@ -1,41 +1,28 @@
-// §5.2 scalability push: full simulated campus runs at 1k/4k/10k nodes.
+// §5.2 scalability: the parallel execution core on a 10k-node campus.
 //
-// The paper validates the coordinator to ~50 nodes and concedes that
-// "beyond 200 nodes, heartbeat monitoring and database contention could
-// become bottlenecks".  This bench drives the REAL platform (coordinator,
-// agents, network, database) at 1,000 / 4,000 / 10,000 nodes under churn
-// and reports the quantities that bound that claim:
-//   - scheduling latency (submit -> first dispatch accept),
-//   - heartbeat-sweep cost (expiry-ordered: work per sweep is O(expired)),
-//   - database op rate with and without batched heartbeat writes,
-//   - event-queue health (tombstone compaction).
-//
-// It also times the indexed heartbeat-processing path (per-node job index
-// + hash-set membership) and the expiry-ordered sweep in isolation.  The
-// full-scan baselines they replaced are cited from history in README.
-//
-// PR 6 adds the parallel-execution-core sweep: the same campus under
-// kDeterministic (legacy single-thread order) and kParallel with 1/2/4/8
-// workers, reporting wall clock, per-worker CPU busy time, the critical-path
+// The same churning campus runs under kDeterministic (one queue, legacy
+// order) and kParallel with 1/2/4/8 workers, first as one campus and then
+// split into 4 federated regions, plus a 100k-node completion run.  Each
+// run reports wall clock, per-worker CPU busy time, the critical-path
 // "ideal parallel wall" (sum over conservative windows of the busiest
-// worker's CPU time) and the exposed speedup total_busy/ideal — the honest
-// concurrency number on a machine with fewer cores than workers — plus a
-// 100k-node completion run.
+// worker's CPU time) and the exposed speedup total_busy/ideal: the honest
+// concurrency number on a machine with fewer cores than workers.
+//
+// perfbench (perfbench/run.py) is the end-to-end benchmark; its campus-10k
+// workload reports the per-heartbeat cost end to end.
 //
 // Emits machine-readable BENCH_scalability.json (override with --out).
 // `--smoke` shrinks everything for CI.
-#include <chrono>
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <string>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include "bench/harness.h"
 #include "gpunion/federated_platform.h"
-#include "sched/heartbeat_monitor.h"
 #include "util/logging.h"
 #include "workload/profiles.h"
 #include "workload/provider_behavior.h"
@@ -43,138 +30,15 @@
 namespace gpunion::bench {
 namespace {
 
-// ---------------------------------------------------------------------------
-// Heartbeat-processing path and sweep, timed in isolation.
-// ---------------------------------------------------------------------------
-
-/// Coordinator-side per-node job index and each machine's heartbeat job
-/// list (what the agent reports hosting): one running job per machine.
-struct ReconcileFixture {
-  std::unordered_map<std::string, std::vector<std::string>> by_node;
-  std::vector<std::string> machines;
-  std::unordered_map<std::string, std::vector<std::string>> beat_lists;
-};
-
-ReconcileFixture make_reconcile_fixture(int nodes) {
-  ReconcileFixture f;
-  f.machines.reserve(static_cast<std::size_t>(nodes));
-  for (int n = 0; n < nodes; ++n) {
-    const std::string machine = "m-" + std::to_string(100000 + n);
-    f.machines.push_back(machine);
-    const std::string live = "job-" + machine;
-    f.by_node[machine].push_back(live);
-    f.beat_lists[machine].push_back(live);
-  }
-  return f;
-}
-
-/// Indexed reconcile: per-node id list + hash-set membership.
-std::size_t indexed_reconcile(const ReconcileFixture& f,
-                              const std::string& machine) {
-  std::size_t missing = 0;
-  auto node_jobs = f.by_node.find(machine);
-  if (node_jobs == f.by_node.end()) return 0;
-  const auto& hosted_list = f.beat_lists.at(machine);
-  const std::unordered_set<std::string_view> hosted(hosted_list.begin(),
-                                                    hosted_list.end());
-  for (const auto& job_id : node_jobs->second) {
-    if (!hosted.contains(std::string_view(job_id))) ++missing;
-  }
-  return missing;
-}
-
-struct HeartbeatPathResult {
-  int nodes = 0;
-  double indexed_us_per_beat = 0;
-};
-
-HeartbeatPathResult time_heartbeat_path(int nodes) {
-  const ReconcileFixture f = make_reconcile_fixture(nodes);
-  HeartbeatPathResult r;
-  r.nodes = nodes;
-  // Full heartbeat rounds (every machine beats once).
-  std::size_t sink = 0;
-  const int rounds = 50;
-  const double seconds = wall_seconds([&] {
-    for (int round = 0; round < rounds; ++round) {
-      for (const auto& machine : f.machines) {
-        sink += indexed_reconcile(f, machine);
-      }
-    }
-  });
-  if (sink != 0) std::printf("(reconcile sink %zu)\n", sink);
-  r.indexed_us_per_beat =
-      seconds * 1e6 / (static_cast<double>(rounds) * nodes);
-  return r;
-}
-
-struct SweepResult {
-  int nodes = 0;
-  double indexed_us_per_sweep = 0;
-};
-
-/// The expiry-ordered monitor's sweep over an N-node directory with zero
-/// expirations (the steady state: the sweep fires every 2 s, losses are
-/// rare).
-SweepResult time_sweep(int nodes) {
-  sim::Environment env;
-  sched::Directory directory;
-  sched::HeartbeatMonitor monitor(env, directory, 2.0, 3, nullptr);
-  for (int i = 0; i < nodes; ++i) {
-    const std::string machine_id = "m-" + std::to_string(100000 + i);
-    sched::NodeInfo info;
-    info.machine_id = machine_id;
-    info.status = db::NodeStatus::kActive;
-    info.accepting = true;
-    info.gpu_count = 1;
-    info.last_heartbeat = 0.0;
-    monitor.observe(directory.upsert(std::move(info)).handle, 0.0);
-  }
-  SweepResult r;
-  r.nodes = nodes;
-  std::size_t sink = 0;
-  const int rounds = 200;
-  const double seconds = wall_seconds([&] {
-    for (int round = 0; round < rounds; ++round) {
-      sink += monitor.sweep().size();
-    }
-  });
-  if (sink != 0) std::printf("(sweep sink %zu)\n", sink);
-  r.indexed_us_per_sweep = seconds * 1e6 / rounds;
-  return r;
-}
-
-// ---------------------------------------------------------------------------
-// Full campus simulation at scale.
-// ---------------------------------------------------------------------------
-
-struct CampusRunResult {
-  int nodes = 0;
-  double sim_horizon_s = 0;
-  double wall_s = 0;
-  int jobs_submitted = 0;
-  int jobs_completed = 0;
-  int interruptions = 0;
-  std::uint64_t heartbeats = 0;
-  double mean_sched_latency_s = 0;
-  double p99_sched_latency_s = 0;
-  double db_ops_per_sim_s = 0;
-  double db_ops_per_sim_s_unbatched_equiv = 0;
-  std::uint64_t sweep_entries_examined = 0;
-  std::uint64_t sweeps = 0;
-  std::uint64_t event_compactions = 0;
-  std::size_t live_jobs_at_end = 0;
-  std::size_t archived_jobs_at_end = 0;
-  double wall_us_per_heartbeat = 0;
-  // Sharded-DB / write-behind accounting (PR 4).
-  int db_shards = 0;
-  double db_sync_ops_per_sim_s = 0;
-  std::uint64_t ledger_absorbed = 0;
-  std::uint64_t ledger_flushes = 0;
-  // Execution-core accounting (PR 6).
+struct ExecRunResult {
   std::string exec_mode = "deterministic";
   int regions = 1;  // >1: federated run (one control-plane actor per region)
   int workers = 0;
+  int nodes = 0;
+  double sim_horizon_s = 0;
+  double wall_s = 0;
+  int jobs_completed = 0;
+  std::uint64_t heartbeats = 0;
   std::uint64_t windows = 0;
   std::uint64_t exclusive_events = 0;
   std::uint64_t causality_clamps = 0;
@@ -185,7 +49,7 @@ struct CampusRunResult {
 };
 
 /// Execution-core counters shared by the single-campus and federated runs.
-void fill_exec_stats(CampusRunResult& r, const sim::Environment& env) {
+void fill_exec_stats(ExecRunResult& r, const sim::Environment& env) {
   r.exec_mode = env.mode() == sim::ExecutionMode::kParallel ? "parallel"
                                                             : "deterministic";
   r.workers = static_cast<int>(env.worker_count());
@@ -219,10 +83,39 @@ CampusConfig synthetic_campus(int nodes) {
   return config;
 }
 
-CampusRunResult run_campus(int nodes, double horizon, double churn_per_day,
-                           std::uint64_t seed,
-                           const sim::EnvConfig& exec = sim::EnvConfig{}) {
-  CampusRunResult r;
+/// One short training job per four nodes: placement and completion
+/// traffic flow throughout the horizon.
+void submit_training(sim::Environment& env, Platform& platform, int nodes,
+                     const std::string& job_prefix) {
+  for (int i = 0; i < nodes / 4; ++i) {
+    auto job = workload::make_training_job(
+        job_prefix + std::to_string(i), workload::cnn_small(),
+        /*hours=*/0.02 + 0.02 * (i % 4), "group-" + std::to_string(i % 16),
+        env.now());
+    job.checkpoint_interval = 120.0;
+    (void)platform.coordinator().submit(std::move(job));
+  }
+}
+
+/// Churn across the whole fleet.
+void schedule_churn(sim::Environment& env, Platform& platform, double horizon,
+                    double churn_per_day, std::uint64_t churn_seed) {
+  workload::InterruptionModel model;
+  model.events_per_day = churn_per_day;
+  model.min_downtime = 60.0;
+  model.max_downtime = 600.0;
+  model.temporary_downtime = 120.0;
+  for (const auto& event : workload::generate_interruptions(
+           platform.machine_ids(), horizon, model, util::Rng(churn_seed))) {
+    // Exclusive in kParallel (interruptions touch the coordinator AND an
+    // agent); an ordinary event in kDeterministic: same legacy order.
+    platform.schedule_interruption(std::max(event.at, env.now()), event);
+  }
+}
+
+ExecRunResult run_campus(int nodes, double horizon, double churn_per_day,
+                         std::uint64_t seed, const sim::EnvConfig& exec) {
+  ExecRunResult r;
   r.nodes = nodes;
   r.sim_horizon_s = horizon;
 
@@ -231,75 +124,20 @@ CampusRunResult run_campus(int nodes, double horizon, double churn_per_day,
   r.wall_s = wall_seconds([&] {
     platform.start();
     env.run_until(5.0);
-
-    // Load: one short training job per four nodes, one interactive
-    // session per sixteen — enough to keep placement and completion
-    // traffic flowing throughout the horizon.
-    auto& coordinator = platform.coordinator();
-    const int training = nodes / 4;
-    for (int i = 0; i < training; ++i) {
-      auto job = workload::make_training_job(
-          "train-" + std::to_string(i), workload::cnn_small(),
-          /*hours=*/0.02 + 0.02 * (i % 4), "group-" + std::to_string(i % 16),
-          env.now());
-      job.checkpoint_interval = 120.0;
-      (void)coordinator.submit(std::move(job));
-    }
+    submit_training(env, platform, nodes, "train-");
+    // Plus one interactive session per sixteen nodes.
     for (int i = 0; i < nodes / 16; ++i) {
-      (void)coordinator.submit(workload::make_interactive_session(
+      (void)platform.coordinator().submit(workload::make_interactive_session(
           "sess-" + std::to_string(i), 0.05,
           "group-" + std::to_string(i % 16), env.now()));
     }
-
-    // Churn across the whole fleet.
-    workload::InterruptionModel model;
-    model.events_per_day = churn_per_day;
-    model.min_downtime = 60.0;
-    model.max_downtime = 600.0;
-    model.temporary_downtime = 120.0;
-    auto interruptions = workload::generate_interruptions(
-        platform.machine_ids(), horizon, model, util::Rng(seed + 1));
-    for (const auto& event : interruptions) {
-      // Exclusive in kParallel (interruptions touch the coordinator AND an
-      // agent); an ordinary event in kDeterministic — same legacy order.
-      platform.schedule_interruption(std::max(event.at, env.now()), event);
-    }
+    schedule_churn(env, platform, horizon, churn_per_day, seed + 1);
     env.run_until(horizon);
   });
 
   const auto& stats = platform.coordinator().stats();
-  const auto& monitor = platform.coordinator().heartbeat_monitor();
-  r.jobs_submitted = stats.jobs_submitted;
   r.jobs_completed = stats.jobs_completed;
-  r.interruptions = stats.interruptions;
   r.heartbeats = stats.heartbeats_processed;
-  r.mean_sched_latency_s = stats.queue_wait.mean();
-  r.p99_sched_latency_s = stats.queue_wait.percentile(99);
-  r.db_ops_per_sim_s =
-      static_cast<double>(platform.database().op_count()) / horizon;
-  // Exact counterfactual: every coalesced touch would have been one op.
-  r.db_ops_per_sim_s_unbatched_equiv =
-      (static_cast<double>(platform.database().op_count()) +
-       static_cast<double>(stats.heartbeat_db_touches_coalesced) -
-       static_cast<double>(stats.heartbeat_db_flushes)) /
-      horizon;
-  r.sweep_entries_examined = monitor.total_examined();
-  r.sweeps = monitor.sweeps();
-  r.event_compactions = env.queue_stats().compactions;
-  const db::ShardedDatabase& database = platform.database();
-  r.db_shards = database.shard_count();
-  r.db_sync_ops_per_sim_s =
-      static_cast<double>(database.sync_op_count()) / horizon;
-  r.ledger_absorbed = database.ledger().stats().absorbed;
-  r.ledger_flushes = database.ledger().stats().flushes;
-  const auto operational = platform.coordinator().operational_stats();
-  r.live_jobs_at_end = static_cast<std::size_t>(operational.live_jobs);
-  r.archived_jobs_at_end =
-      static_cast<std::size_t>(operational.archived_jobs);
-  r.wall_us_per_heartbeat =
-      r.heartbeats == 0
-          ? 0
-          : r.wall_s * 1e6 / static_cast<double>(r.heartbeats);
   fill_exec_stats(r, env);
   return r;
 }
@@ -308,13 +146,12 @@ CampusRunResult run_campus(int nodes, double horizon, double churn_per_day,
 /// campuses (one coordinator/database/gateway actor set per region, joined
 /// by the WAN).  A single campus has exactly ONE control-plane actor, so
 /// its heartbeat fan-in IS the critical path no matter how many workers
-/// run — this is the configuration where the runtime has genuinely
+/// run; this is the configuration where the runtime has genuinely
 /// concurrent control planes to spread across workers.
-CampusRunResult run_federated_exec(int total_nodes, int region_count,
-                                   double horizon, double churn_per_day,
-                                   std::uint64_t seed,
-                                   const sim::EnvConfig& exec) {
-  CampusRunResult r;
+ExecRunResult run_federated(int total_nodes, int region_count, double horizon,
+                            double churn_per_day, std::uint64_t seed,
+                            const sim::EnvConfig& exec) {
+  ExecRunResult r;
   r.nodes = total_nodes;
   r.regions = region_count;
   r.sim_horizon_s = horizon;
@@ -342,60 +179,32 @@ CampusRunResult run_federated_exec(int total_nodes, int region_count,
     env.run_until(5.0);
     for (std::size_t g = 0; g < fed.region_count(); ++g) {
       Platform& platform = fed.region(g);
-      auto& coordinator = platform.coordinator();
-      for (int i = 0; i < per_region / 4; ++i) {
-        auto job = workload::make_training_job(
-            "train-" + std::to_string(g) + "-" + std::to_string(i),
-            workload::cnn_small(), /*hours=*/0.02 + 0.02 * (i % 4),
-            "group-" + std::to_string(i % 16), env.now());
-        job.checkpoint_interval = 120.0;
-        (void)coordinator.submit(std::move(job));
-      }
-      workload::InterruptionModel model;
-      model.events_per_day = churn_per_day;
-      model.min_downtime = 60.0;
-      model.max_downtime = 600.0;
-      model.temporary_downtime = 120.0;
-      auto interruptions = workload::generate_interruptions(
-          platform.machine_ids(), horizon, model, util::Rng(seed + 1 + g));
-      for (const auto& event : interruptions) {
-        platform.schedule_interruption(std::max(event.at, env.now()), event);
-      }
+      submit_training(env, platform, per_region,
+                      "train-" + std::to_string(g) + "-");
+      schedule_churn(env, platform, horizon, churn_per_day, seed + 1 + g);
     }
     env.run_until(horizon);
   });
 
   for (std::size_t g = 0; g < fed.region_count(); ++g) {
     const auto& stats = fed.region(g).coordinator().stats();
-    r.jobs_submitted += stats.jobs_submitted;
     r.jobs_completed += stats.jobs_completed;
-    r.interruptions += stats.interruptions;
     r.heartbeats += stats.heartbeats_processed;
   }
   fill_exec_stats(r, env);
   return r;
 }
 
-// ---------------------------------------------------------------------------
-// Reporting
-// ---------------------------------------------------------------------------
-
-void print_campus(const CampusRunResult& r) {
-  std::printf(
-      "%7d %9.0f %8.1f %9llu %10.2f %10.2f %11.0f %13.0f %9llu %8zu\n",
-      r.nodes, r.sim_horizon_s, r.wall_s,
-      static_cast<unsigned long long>(r.heartbeats),
-      r.mean_sched_latency_s * 1000.0, r.p99_sched_latency_s * 1000.0,
-      r.db_ops_per_sim_s, r.db_ops_per_sim_s_unbatched_equiv,
-      static_cast<unsigned long long>(r.sweep_entries_examined),
-      r.archived_jobs_at_end);
+void print_run(const ExecRunResult& r) {
+  std::printf("%14s %8d %8d %7d %8.2f %8.2f %8.2f %8.2fx %8llu %8llu\n",
+              r.exec_mode.c_str(), r.regions, r.workers, r.nodes, r.wall_s,
+              r.total_busy_s, r.ideal_wall_s, r.exposed_speedup,
+              static_cast<unsigned long long>(r.windows),
+              static_cast<unsigned long long>(r.causality_clamps));
 }
 
 void write_json(const std::string& path, const std::string& mode,
-                const std::vector<HeartbeatPathResult>& paths,
-                const std::vector<SweepResult>& sweeps,
-                const std::vector<CampusRunResult>& runs,
-                const std::vector<CampusRunResult>& exec_runs) {
+                const std::vector<ExecRunResult>& runs) {
   std::ofstream out(path);
   if (!out) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -404,50 +213,6 @@ void write_json(const std::string& path, const std::string& mode,
   out << "{\n";
   out << "  \"bench\": \"scalability\",\n";
   out << "  \"mode\": \"" << mode << "\",\n";
-  out << "  \"heartbeat_path\": [\n";
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    const auto& p = paths[i];
-    out << "    {\"nodes\": " << p.nodes
-        << ", \"indexed_us_per_beat\": " << p.indexed_us_per_beat << "}"
-        << (i + 1 < paths.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n";
-  out << "  \"heartbeat_sweep\": [\n";
-  for (std::size_t i = 0; i < sweeps.size(); ++i) {
-    const auto& s = sweeps[i];
-    out << "    {\"nodes\": " << s.nodes
-        << ", \"indexed_us_per_sweep\": " << s.indexed_us_per_sweep << "}"
-        << (i + 1 < sweeps.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n";
-  out << "  \"campus_runs\": [\n";
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    const auto& r = runs[i];
-    out << "    {\"nodes\": " << r.nodes
-        << ", \"sim_horizon_s\": " << r.sim_horizon_s
-        << ", \"wall_s\": " << r.wall_s
-        << ", \"jobs_submitted\": " << r.jobs_submitted
-        << ", \"jobs_completed\": " << r.jobs_completed
-        << ", \"interruptions\": " << r.interruptions
-        << ", \"heartbeats\": " << r.heartbeats
-        << ", \"mean_sched_latency_s\": " << r.mean_sched_latency_s
-        << ", \"p99_sched_latency_s\": " << r.p99_sched_latency_s
-        << ", \"db_ops_per_sim_s\": " << r.db_ops_per_sim_s
-        << ", \"db_ops_per_sim_s_unbatched_equiv\": "
-        << r.db_ops_per_sim_s_unbatched_equiv
-        << ", \"sweeps\": " << r.sweeps
-        << ", \"sweep_entries_examined\": " << r.sweep_entries_examined
-        << ", \"event_compactions\": " << r.event_compactions
-        << ", \"live_jobs_at_end\": " << r.live_jobs_at_end
-        << ", \"archived_jobs_at_end\": " << r.archived_jobs_at_end
-        << ", \"db_shards\": " << r.db_shards
-        << ", \"db_sync_ops_per_sim_s\": " << r.db_sync_ops_per_sim_s
-        << ", \"ledger_absorbed\": " << r.ledger_absorbed
-        << ", \"ledger_flushes\": " << r.ledger_flushes
-        << ", \"wall_us_per_heartbeat\": " << r.wall_us_per_heartbeat << "}"
-        << (i + 1 < runs.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n";
   out << "  \"execution\": {\n";
   out << "    \"hw_concurrency\": " << std::thread::hardware_concurrency()
       << ",\n";
@@ -456,8 +221,8 @@ void write_json(const std::string& path, const std::string& mode,
          "exposed_speedup = total_busy_s / ideal_parallel_wall_s.  Wall "
          "clock only reflects it when hw_concurrency >= workers.\",\n";
   out << "    \"runs\": [\n";
-  for (std::size_t i = 0; i < exec_runs.size(); ++i) {
-    const auto& r = exec_runs[i];
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const auto& r = runs[i];
     out << "      {\"mode\": \"" << r.exec_mode << "\""
         << ", \"regions\": " << r.regions
         << ", \"workers\": " << r.workers
@@ -473,7 +238,7 @@ void write_json(const std::string& path, const std::string& mode,
         << ", \"causality_clamps\": " << r.causality_clamps
         << ", \"heartbeats\": " << r.heartbeats
         << ", \"jobs_completed\": " << r.jobs_completed << "}"
-        << (i + 1 < exec_runs.size() ? "," : "") << "\n";
+        << (i + 1 < runs.size() ? "," : "") << "\n";
   }
   out << "    ]\n";
   out << "  }\n";
@@ -498,124 +263,51 @@ int main(int argc, char** argv) {
     }
   }
 
-  banner("Scalability — O(active) control plane at 1k/4k/10k nodes",
+  banner("Scalability — parallel execution core on a 10k-node campus",
          "§5.2 (beyond the paper's 50-node validation)");
-
-  // Heartbeat-processing hot path and sweep, timed in isolation.
-  std::printf("\nHeartbeat-processing path (reconcile: per-node job index + "
-              "hash-set\nmembership) and expiry-ordered sweep (steady state, "
-              "zero expirations).\n\n");
-  std::printf("%7s %14s %14s\n", "nodes", "us/beat", "us/sweep");
-  row_divider(38);
-  std::vector<HeartbeatPathResult> paths;
-  std::vector<SweepResult> sweeps;
-  for (int nodes : smoke ? std::vector<int>{200, 400}
-                         : std::vector<int>{1000, 4000, 10000}) {
-    paths.push_back(time_heartbeat_path(nodes));
-    sweeps.push_back(time_sweep(nodes));
-    std::printf("%7d %14.3f %14.3f\n", nodes,
-                paths.back().indexed_us_per_beat,
-                sweeps.back().indexed_us_per_sweep);
-  }
-
-  // Full campus runs.
-  std::printf("\nFull campus simulation under churn (real coordinator, "
-              "agents, network, DB):\n\n");
-  std::printf("%7s %9s %8s %9s %10s %10s %11s %13s %9s %8s\n", "nodes",
-              "sim-s", "wall-s", "beats", "sched-ms", "p99-ms",
-              "db-ops/s", "db-unbatched", "swept", "archive");
-  row_divider(104);
-  std::vector<CampusRunResult> runs;
-  const std::vector<std::pair<int, double>> scales =
-      smoke ? std::vector<std::pair<int, double>>{{100, 60.0}, {200, 60.0}}
-            : std::vector<std::pair<int, double>>{
-                  {1000, 300.0}, {4000, 180.0}, {10000, 120.0}};
-  for (const auto& [nodes, horizon] : scales) {
-    auto r = run_campus(nodes, horizon, /*churn_per_day=*/24.0, 1234);
-    runs.push_back(r);
-    print_campus(r);
-  }
-
-  std::printf("\nsched-ms/p99-ms in sim-milliseconds; db-unbatched = exact op rate "
-              "had every heartbeat\nwritten through (batched flushes "
-              "coalesce them); swept = total expiry-pops across\nall "
-              "sweeps.\n");
-
-  // Parallel execution core: the same campus under kDeterministic and
-  // kParallel at 1/2/4/8 workers, plus a large completion run.
-  std::printf("\nParallel execution core (threaded actor runtime, sharded "
-              "event queue):\nexposed speedup = summed worker CPU busy / "
-              "critical path across windows\n(wall clock only tracks it "
-              "when the machine has >= workers cores; this host\nhas %u).\n\n",
+  std::printf("\nThreaded actor runtime, sharded event queue: exposed "
+              "speedup = summed worker\nCPU busy / critical path across "
+              "windows (wall clock only tracks it when the\nmachine has "
+              ">= workers cores; this host has %u).\n\n",
               std::thread::hardware_concurrency());
   std::printf("%14s %8s %8s %7s %8s %8s %8s %9s %8s %8s\n", "mode",
               "regions", "workers", "nodes", "wall-s", "busy-s", "ideal-s",
               "speedup", "windows", "clamps");
   row_divider(98);
-  std::vector<CampusRunResult> exec_runs;
-  const int sweep_nodes = smoke ? 200 : 10000;
-  const double sweep_horizon = smoke ? 60.0 : 120.0;
-  auto print_exec = [](const CampusRunResult& r) {
-    std::printf("%14s %8d %8d %7d %8.2f %8.2f %8.2f %8.2fx %8llu %8llu\n",
-                r.exec_mode.c_str(), r.regions, r.workers, r.nodes, r.wall_s,
-                r.total_busy_s, r.ideal_wall_s, r.exposed_speedup,
-                static_cast<unsigned long long>(r.windows),
-                static_cast<unsigned long long>(r.causality_clamps));
-  };
-  {
-    auto r = run_campus(sweep_nodes, sweep_horizon, /*churn_per_day=*/24.0,
-                        1234);
-    exec_runs.push_back(r);
-    print_exec(r);
-  }
-  for (const int workers : {1, 2, 4, 8}) {
+
+  const int nodes = smoke ? 200 : 10000;
+  const double horizon = smoke ? 60.0 : 120.0;
+  const double churn_per_day = 24.0;
+  const std::uint64_t seed = 1234;
+  auto parallel = [](int workers) {
     sim::EnvConfig exec;
     exec.mode = sim::ExecutionMode::kParallel;
     exec.worker_threads = static_cast<std::size_t>(workers);
-    auto r = run_campus(sweep_nodes, sweep_horizon, /*churn_per_day=*/24.0,
-                        1234, exec);
-    exec_runs.push_back(r);
-    print_exec(r);
+    return exec;
+  };
+  std::vector<ExecRunResult> runs;
+  auto record = [&runs](ExecRunResult r) {
+    print_run(r);
+    runs.push_back(std::move(r));
+  };
+  record(run_campus(nodes, horizon, churn_per_day, seed, sim::EnvConfig{}));
+  for (const int workers : {1, 2, 4, 8}) {
+    record(run_campus(nodes, horizon, churn_per_day, seed, parallel(workers)));
   }
   // The same fleet split across 4 federated campuses: one control-plane
-  // actor (coordinator + database + gateway) per region instead of one
-  // total.  A single campus's coordinator IS the critical path regardless
-  // of worker count; this is the shape with genuine control-plane
-  // concurrency for the runtime to expose.
+  // actor (coordinator + database + gateway) per region instead of one.
   std::printf("\n");
-  {
-    sim::EnvConfig det;
-    auto r = run_federated_exec(sweep_nodes, /*region_count=*/4,
-                                sweep_horizon, /*churn_per_day=*/24.0, 1234,
-                                det);
-    exec_runs.push_back(r);
-    print_exec(r);
-  }
+  record(run_federated(nodes, /*region_count=*/4, horizon, churn_per_day,
+                       seed, sim::EnvConfig{}));
   for (const int workers : {1, 2, 4, 8}) {
-    sim::EnvConfig exec;
-    exec.mode = sim::ExecutionMode::kParallel;
-    exec.worker_threads = static_cast<std::size_t>(workers);
-    auto r = run_federated_exec(sweep_nodes, /*region_count=*/4,
-                                sweep_horizon, /*churn_per_day=*/24.0, 1234,
-                                exec);
-    exec_runs.push_back(r);
-    print_exec(r);
+    record(run_federated(nodes, /*region_count=*/4, horizon, churn_per_day,
+                         seed, parallel(workers)));
   }
-  {
-    // Completion run at an order of magnitude beyond the sweep: does the
-    // runtime hold together at 100k actors?
-    const int large_nodes = smoke ? 400 : 100000;
-    const double large_horizon = smoke ? 30.0 : 30.0;
-    sim::EnvConfig exec;
-    exec.mode = sim::ExecutionMode::kParallel;
-    exec.worker_threads = 4;
-    auto r = run_campus(large_nodes, large_horizon, /*churn_per_day=*/4.0,
-                        1234, exec);
-    exec_runs.push_back(r);
-    print_exec(r);
-  }
+  // Completion run an order of magnitude beyond the sweep: does the
+  // runtime hold together at 100k actors?
+  record(run_campus(smoke ? 400 : 100000, /*horizon=*/30.0,
+                    /*churn_per_day=*/4.0, seed, parallel(4)));
 
-  write_json(out_path, smoke ? "smoke" : "full", paths, sweeps, runs,
-             exec_runs);
+  write_json(out_path, smoke ? "smoke" : "full", runs);
   return 0;
 }

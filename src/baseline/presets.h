@@ -1,9 +1,9 @@
 // Baseline platform presets.
 //
 // Each baseline of Table 1 is expressed as a configuration of the same
-// engine (see sched/policy.h), so bench/table1_comparison replays one
-// churn + workload trace under all of them and differences are attributable
-// to platform semantics alone:
+// engine (see sched/policy.h), so tests/integration/table1_comparison_test
+// replays one churn + workload trace under all of them and differences are
+// attributable to platform semantics alone:
 //
 //   kGpunion      everything on (the paper's system)
 //   kKubernetes   centralized orchestration: volatility = failure,

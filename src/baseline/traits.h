@@ -1,8 +1,8 @@
 // Table 1 platform-comparison matrix.
 //
-// The qualitative rows of the paper's Table 1, held as data so the bench can
-// print the table exactly and tests can assert on invariants (only GPUnion
-// offers full provider autonomy + voluntary participation).
+// The qualitative rows of the paper's Table 1, held as data so the table
+// renders exactly and tests can assert on invariants (only GPUnion offers
+// full provider autonomy + voluntary participation).
 #pragma once
 
 #include <string>

@@ -85,26 +85,11 @@ std::size_t ShardedDatabase::flush_ledger(FlushTrigger trigger,
                           std::string(ledger_op_name(entry.kind)));
     }
   }
-  std::size_t committed = 0;
-  if (executor_ == nullptr) {
-    committed = ledger_log_.flush(
-        trigger, [this](std::size_t shard, std::size_t entries) {
-          // One group commit per touched shard, however many entries it
-          // absorbs.
-          (void)entries;
-          ++shards_[shard].ops;
-        });
-  } else {
-    // Fork-join: each touched shard's group commit runs on its own commit
-    // thread (shard state is thread-confined there), and the barrier makes
-    // every commit visible to the caller before flush_ledger returns.
-    committed = ledger_log_.flush(
-        trigger, [this](std::size_t shard, std::size_t entries) {
-          (void)entries;
-          executor_->run(shard, [this, shard] { ++shards_[shard].ops; });
-        });
-    executor_->barrier();
-  }
+  // One group commit per touched shard, however many entries it absorbs.
+  const std::size_t committed = ledger_log_.flush(
+      trigger, [this](std::size_t shard, std::size_t /*entries*/) {
+        ++shards_[shard].ops;
+      });
   // Group commit advances each shard's durable image past its pending WAL
   // records (caller thread, shard order: image containers are keyed, so
   // per-shard application order cannot change the result).  Armed faults

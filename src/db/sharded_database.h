@@ -1,9 +1,9 @@
 // Sharded, multi-writer system database with write-behind ledgering.
 //
-// PR 2 batched the heartbeat writes; bench_scalability's M/M/1 model then
-// showed the next wall (ROADMAP): the ~10 synchronous DB ops the scheduler
-// pays per decision saturate the single-writer database past ~2k nodes
-// under load.  This store removes that wall along two axes:
+// Batching the heartbeat writes left the next wall: the ~10 synchronous DB
+// ops the scheduler pays per decision saturate a single-writer database
+// past ~2k nodes under load (per the M/M/1 model below).  This store
+// removes that wall along two axes:
 //
 //  * Sharding: tables are partitioned by key — queue rows and provenance
 //    by JOB id, node registry / heartbeats / allocations by NODE id
@@ -47,7 +47,6 @@
 
 #include "db/database.h"
 #include "db/ledger_wal.h"
-#include "db/shard_executor.h"
 #include "db/write_behind_ledger.h"
 #include "util/status.h"
 #include "util/time.h"
@@ -224,8 +223,6 @@ class ShardedDatabase {
   /// Group-commits pending ledger entries to their shards.  Threshold
   /// flushes happen automatically inside absorbing mutations; the interval
   /// flush is driven by the owner's timer.  Returns entries committed.
-  /// With an executor attached, each shard's commit runs on that shard's
-  /// thread (fork-join: all commits complete before this returns).
   /// `at` is the commit time for trace spans (owner timers pass now();
   /// callers without a clock leave -1 and the newest absorbed entry's
   /// timestamp stands in).
@@ -249,11 +246,6 @@ class ShardedDatabase {
   void set_on_ledger_dirty(std::function<void()> hook) {
     on_ledger_dirty_ = std::move(hook);
   }
-
-  /// Attaches per-shard commit threads (parallel execution mode).  The
-  /// executor must outlive the database or be detached with nullptr.
-  void set_executor(ShardExecutor* executor) { executor_ = executor; }
-  ShardExecutor* executor() const { return executor_; }
 
   // --- Write-ahead log & crash recovery --------------------------------------
   const LedgerWal& wal() const { return wal_; }
@@ -384,7 +376,6 @@ class ShardedDatabase {
   mutable std::size_t rotate_cursor_ = 0;
   std::uint64_t local_pops_ = 0;
   std::uint64_t stolen_pops_ = 0;
-  ShardExecutor* executor_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
   std::function<util::SimTime()> clock_;
   std::function<void()> on_ledger_dirty_;

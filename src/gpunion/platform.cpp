@@ -28,13 +28,6 @@ Platform::Platform(sim::Environment& env, CampusConfig config)
   }
   database_.set_tracer(config_.coordinator.tracer);
   database_.set_clock([this] { return env_.now(); });
-  if (env_.mode() == sim::ExecutionMode::kParallel) {
-    shard_executor_ = std::make_unique<db::ShardExecutor>(
-        std::min<std::size_t>(
-            static_cast<std::size_t>(database_.shard_count()),
-            std::max<std::size_t>(1, env_.worker_count())));
-    database_.set_executor(shard_executor_.get());
-  }
   register_default_images();
 
   for (const auto& storage_config : config_.storage) {

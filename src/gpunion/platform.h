@@ -167,9 +167,6 @@ class Platform {
   sim::LaneId lane_ = sim::kMainLane;
   std::unique_ptr<net::SimNetwork> network_;
   db::ShardedDatabase database_;
-  /// Per-shard commit threads, attached to the database in kParallel when
-  /// write-behind is on (flush_ledger group commits fork-join across them).
-  std::unique_ptr<db::ShardExecutor> shard_executor_;
   container::ImageRegistry registry_;
   storage::CheckpointStore store_;
   monitor::MetricRegistry metrics_;

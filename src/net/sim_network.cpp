@@ -352,21 +352,4 @@ double SimNetwork::peak_class_utilization(
   return peak;
 }
 
-double SimNetwork::mean_backbone_utilization(util::SimTime t0,
-                                             util::SimTime t1) const {
-  assert(t1 > t0);
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto b0 = static_cast<std::uint64_t>(t0 / config_.accounting_bucket);
-  const auto b1 = static_cast<std::uint64_t>(t1 / config_.accounting_bucket);
-  std::uint64_t total = 0;
-  for (const auto& [bucket, bytes] : buckets_) {
-    if (bucket < b0 || bucket > b1) continue;
-    for (std::size_t c = 0;
-         c < static_cast<std::size_t>(TrafficClass::kClassCount); ++c) {
-      total += bytes[c];
-    }
-  }
-  return static_cast<double>(total) / (backbone_.bytes_per_sec * (t1 - t0));
-}
-
 }  // namespace gpunion::net

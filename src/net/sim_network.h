@@ -8,7 +8,8 @@
 // propagation latency.  Transfers sharing a link queue FIFO — concurrent
 // checkpoint backups from one node serialize on its access link exactly like
 // a real NIC.  Bytes are accounted per traffic class and per time bucket,
-// which bench/network_traffic uses to report peak bandwidth utilization.
+// which the §4 network-traffic property
+// (tests/integration/network_traffic_test.cpp) reads as peak utilization.
 //
 // Endpoints live in a vector indexed by EndpointId.  The NodeId -> id map
 // is the edge: register/unregister/resolve and the NodeId-taking topology
@@ -142,8 +143,6 @@ class SimNetwork : public Transport {
   federation_peer_bytes() const {
     return federation_peer_bytes_;
   }
-  /// Mean backbone utilization over [t0, t1].
-  double mean_backbone_utilization(util::SimTime t0, util::SimTime t1) const;
   /// Per-class bytes within [t0, t1] (bucket resolution).
   std::uint64_t bytes_in_window(TrafficClass c, util::SimTime t0,
                                 util::SimTime t1) const;

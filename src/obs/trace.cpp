@@ -128,9 +128,14 @@ void Tracer::publish_metrics(monitor::MetricRegistry& registry) const {
 }
 
 const std::vector<double>& Tracer::stage_bounds() {
+  // Fine buckets up to 30 min, then doubling to 42.7 days, so a queue wait
+  // on a six-week replay (3.63e6 s) lands in a finite bucket: a quantile
+  // that falls in the +Inf bucket can only read as the last bound.
   static const std::vector<double> kBounds = {
-      0.001, 0.005, 0.01, 0.05, 0.1,  0.5,   1.0,   2.0,
-      5.0,   10.0,  30.0, 60.0, 120.0, 300.0, 600.0, 1800.0};
+      0.001,    0.005,    0.01,     0.05,      0.1,       0.5,     1.0,
+      2.0,      5.0,      10.0,     30.0,      60.0,      120.0,   300.0,
+      600.0,    1800.0,   3600.0,   7200.0,    14400.0,   28800.0, 57600.0,
+      115200.0, 230400.0, 460800.0, 921600.0,  1843200.0, 3686400.0};
   return kBounds;
 }
 

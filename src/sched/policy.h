@@ -12,7 +12,8 @@
 //                      displaced jobs requeue at the tail
 //   Manual             no cross-group sharing at all (per-lab silos)
 //
-// bench/table1_comparison replays one churn trace under each preset.
+// tests/integration/table1_comparison_test.cpp replays one churn trace
+// under each preset.
 #pragma once
 
 namespace gpunion::sched {

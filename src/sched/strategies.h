@@ -5,7 +5,8 @@
 // the round-robin scheduler over the pending-request priority queue.  Each
 // strategy is a PlacementStrategy subclass registered in the factory by
 // name, so new policies land without touching the coordinator.
-// bench/ablation_strategies compares them head-to-head.
+// bench/timeslice compares adaptive_sharing, packed_sharing and
+// round_robin head-to-head.
 #pragma once
 
 #include <functional>

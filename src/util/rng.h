@@ -2,8 +2,8 @@
 //
 // Every component gets its own named stream derived from the experiment seed,
 // so adding a component never perturbs the draws of another (a requirement
-// for the A/B experiments in bench/: baseline and GPUnion replay identical
-// campus traces).
+// for the paper-shape properties in tests/integration/: baseline presets
+// and GPUnion replay identical campus traces).
 #pragma once
 
 #include <cstdint>

@@ -229,6 +229,33 @@ TEST(SpanExportTest, PublishMetricsRegistersStageHistograms) {
             std::string::npos);
 }
 
+TEST(SpanExportTest, StageQuantileNeverReadsBelowItsBucketsSamples) {
+  // A stage whose only sample is `v` must report p50/p99 >= v: the
+  // smallest sample in its bucket is v itself.  Durations sweep 1 ms to
+  // 6 weeks, the longest horizon a campus replay runs (the six-week trace
+  // has queue waits of ~65k sim-s).
+  const double six_weeks = 42.0 * 86400.0;
+  std::vector<double> samples;
+  for (double v = 0.001; v < six_weeks; v *= 3.7) samples.push_back(v);
+  samples.push_back(six_weeks);
+  for (const double sample : samples) {
+    Tracer tracer;
+    TraceContext ctx{Tracer::trace_for_job("tail"), 0};
+    tracer.record(ctx, stage::kQueueWait, "c", 0.0, sample);
+    monitor::MetricRegistry registry;
+    tracer.publish_metrics(registry);
+    const monitor::MetricFamily* family =
+        registry.find("gpunion_trace_stage_seconds");
+    ASSERT_NE(family, nullptr);
+    const auto it = family->histograms().find(
+        {{"stage", std::string(stage::kQueueWait)}});
+    ASSERT_NE(it, family->histograms().end());
+    ASSERT_EQ(it->second.count(), 1u);
+    EXPECT_GE(it->second.quantile(0.5), sample) << "sample " << sample;
+    EXPECT_GE(it->second.quantile(0.99), sample) << "sample " << sample;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Single-campus causal chain
 // ---------------------------------------------------------------------------
