@@ -1,9 +1,5 @@
 #include "baseline/traits.h"
 
-#include <algorithm>
-#include <array>
-#include <sstream>
-
 namespace gpunion::baseline {
 
 const std::vector<PlatformTraits>& table1_platforms() {
@@ -24,66 +20,6 @@ const std::vector<PlatformTraits>& table1_platforms() {
        "Campus LANs", "Workload"},
   };
   return platforms;
-}
-
-std::string render_table1() {
-  static const std::array<const char*, 12> kRows = {
-      "Community Support",    "Deployment Complexity",
-      "Resource Footprint",   "Learning Curve",
-      "Provider Autonomy",    "Workload Focus",
-      "Voluntary Participation", "Dynamic Node Joining",
-      "GPU Specialization",   "Campus Network Optimization",
-      "Target Environment",   "Fault Tolerance Model"};
-
-  const auto& platforms = table1_platforms();
-  auto field = [](const PlatformTraits& t, std::size_t row) -> const std::string& {
-    switch (row) {
-      case 0: return t.community_support;
-      case 1: return t.deployment_complexity;
-      case 2: return t.resource_footprint;
-      case 3: return t.learning_curve;
-      case 4: return t.provider_autonomy;
-      case 5: return t.workload_focus;
-      case 6: return t.voluntary_participation;
-      case 7: return t.dynamic_node_joining;
-      case 8: return t.gpu_specialization;
-      case 9: return t.campus_network_optimization;
-      case 10: return t.target_environment;
-      default: return t.fault_tolerance_model;
-    }
-  };
-
-  // Column widths.
-  std::size_t label_width = 0;
-  for (const char* row : kRows) {
-    label_width = std::max(label_width, std::string(row).size());
-  }
-  std::vector<std::size_t> widths;
-  for (const auto& platform : platforms) {
-    std::size_t w = platform.platform.size();
-    for (std::size_t row = 0; row < kRows.size(); ++row) {
-      w = std::max(w, field(platform, row).size());
-    }
-    widths.push_back(w);
-  }
-
-  std::ostringstream os;
-  auto pad = [&os](const std::string& s, std::size_t width) {
-    os << s << std::string(width - s.size() + 2, ' ');
-  };
-  pad("Platform", label_width);
-  for (std::size_t i = 0; i < platforms.size(); ++i) {
-    pad(platforms[i].platform, widths[i]);
-  }
-  os << "\n";
-  for (std::size_t row = 0; row < kRows.size(); ++row) {
-    pad(kRows[row], label_width);
-    for (std::size_t i = 0; i < platforms.size(); ++i) {
-      pad(field(platforms[i], row), widths[i]);
-    }
-    os << "\n";
-  }
-  return os.str();
 }
 
 }  // namespace gpunion::baseline

@@ -1,8 +1,8 @@
 // Table 1 platform-comparison matrix.
 //
-// The qualitative rows of the paper's Table 1, held as data so the table
-// renders exactly and tests can assert on invariants (only GPUnion offers
-// full provider autonomy + voluntary participation).
+// The qualitative rows of the paper's Table 1, held as data so tests can
+// assert on invariants (only GPUnion offers full provider autonomy +
+// voluntary participation).
 #pragma once
 
 #include <string>
@@ -29,8 +29,5 @@ struct PlatformTraits {
 /// The five columns of Table 1, paper order: OpenStack, CloudStack,
 /// OpenNebula, Kubernetes, GPUnion.
 const std::vector<PlatformTraits>& table1_platforms();
-
-/// Renders the matrix as an aligned text table (the bench's output).
-std::string render_table1();
 
 }  // namespace gpunion::baseline

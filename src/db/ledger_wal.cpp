@@ -32,112 +32,109 @@ std::size_t TableImage::queue_rows() const {
   return n;
 }
 
+namespace {
+
+/// The record's payload as the alternative its op carries (a mismatch is a
+/// programming error: make the mismatch loud, not a silent no-op).
+template <typename T>
+const T& payload(const WalRecord& record) {
+  return std::get<T>(record.payload);
+}
+
+void erase_queue_row(TableImage& image, const WalQueueRow& row) {
+  auto bucket = image.queue.find(row.priority);
+  if (bucket == image.queue.end()) return;
+  bucket->second.erase(row.queue_seq);
+  if (bucket->second.empty()) image.queue.erase(bucket);
+}
+
+}  // namespace
+
 void apply_to_image(TableImage& image, const WalRecord& record,
                     std::size_t history_limit) {
   switch (record.op) {
     case WalOp::kUpsertNode: {
-      const NodeRow row = record.node.row;
-      if (row >= image.node_rows.size()) image.node_rows.resize(row + 1);
-      image.node_rows[row] = record.node;
-      image.node_index[record.key] = row;
+      const NodeRecord& node = payload<NodeRecord>(record);
+      if (node.row >= image.node_rows.size()) {
+        image.node_rows.resize(node.row + 1);
+      }
+      image.node_rows[node.row] = node;
+      image.node_index[record.key] = node.row;
       break;
     }
     case WalOp::kSetNodeStatus: {
       auto it = image.node_index.find(record.key);
       if (it != image.node_index.end()) {
-        image.node_rows[it->second].status = record.status;
+        image.node_rows[it->second].status = payload<NodeStatus>(record);
       }
       break;
     }
     case WalOp::kTouchHeartbeatBatch:
-      for (const auto& [row, at] : record.batch_rows) {
+      for (const auto& [row, at] :
+           payload<std::vector<std::pair<NodeRow, util::SimTime>>>(record)) {
         if (row >= image.node_rows.size()) continue;
         NodeRecord& node = image.node_rows[row];
         node.last_heartbeat = std::max(node.last_heartbeat, at);
       }
       break;
-    case WalOp::kOpenAllocation:
-      image.allocations[record.allocation.allocation_id] = record.allocation;
-      image.next_allocation_id = std::max(
-          image.next_allocation_id, record.allocation.allocation_id + 1);
+    case WalOp::kOpenAllocation: {
+      const AllocationRecord& allocation = payload<AllocationRecord>(record);
+      image.allocations[allocation.allocation_id] = allocation;
+      image.next_allocation_id = std::max(image.next_allocation_id,
+                                          allocation.allocation_id + 1);
       break;
+    }
     case WalOp::kCloseAllocation: {
-      auto it = image.allocations.find(record.allocation_id);
+      const WalCloseAllocation& close = payload<WalCloseAllocation>(record);
+      auto it = image.allocations.find(close.allocation_id);
       if (it != image.allocations.end() &&
           it->second.outcome == AllocationOutcome::kRunning) {
-        it->second.outcome = record.outcome;
+        it->second.outcome = close.outcome;
         it->second.ended_at = record.at;
       }
       break;
     }
-    case WalOp::kEnqueue:
-      image.queue[record.request.priority][record.queue_seq] = record.request;
-      image.queue_back_seq = std::max(image.queue_back_seq, record.queue_seq);
+    case WalOp::kEnqueue: {
+      const WalEnqueue& insert = payload<WalEnqueue>(record);
+      image.queue[insert.request.priority][insert.queue_seq] = insert.request;
+      image.queue_back_seq = std::max(image.queue_back_seq, insert.queue_seq);
       image.queue_front_seq =
-          std::min(image.queue_front_seq, record.queue_seq);
-      break;
-    case WalOp::kPop: {
-      // The live pop removed the (priority desc, seq asc) front; by seq
-      // order within the bucket that is the first row with this job id.
-      auto bucket = image.queue.find(record.priority);
-      if (bucket == image.queue.end()) break;
-      for (auto it = bucket->second.begin(); it != bucket->second.end();
-           ++it) {
-        if (it->second.job_id == record.key) {
-          bucket->second.erase(it);
-          break;
-        }
-      }
-      if (bucket->second.empty()) image.queue.erase(bucket);
+          std::min(image.queue_front_seq, insert.queue_seq);
       break;
     }
+    case WalOp::kPop:
     case WalOp::kRemoveRequest:
-      // Same scan order as the live removal: priority desc, seq asc.
-      for (auto bucket = image.queue.begin(); bucket != image.queue.end();
-           ++bucket) {
-        bool removed = false;
-        for (auto it = bucket->second.begin(); it != bucket->second.end();
-             ++it) {
-          if (it->second.job_id == record.key) {
-            bucket->second.erase(it);
-            removed = true;
-            break;
-          }
-        }
-        if (removed) {
-          if (bucket->second.empty()) image.queue.erase(bucket);
-          break;
-        }
-      }
+      erase_queue_row(image, payload<WalQueueRow>(record));
       break;
     case WalOp::kProvenance:
       // Keyed by WAL seq: materializing in key order reproduces the global
       // append order of the live provenance log.
-      image.provenance[record.seq] = record.provenance;
+      image.provenance[record.seq] = payload<JobProvenance>(record);
       break;
     case WalOp::kMetric: {
       auto& points = image.metrics[record.key];
-      points.push_back(MetricPoint{record.at, record.value});
+      points.push_back(
+          MetricPoint{record.at, payload<WalMetric>(record).value});
       while (points.size() > history_limit) points.pop_front();
       break;
     }
     case WalOp::kPutJobState:
-      image.job_states[record.key] = record.job_state;
+      image.job_states[record.key] = payload<JobStateRecord>(record);
       break;
     case WalOp::kEraseJobState:
       image.job_states.erase(record.key);
       break;
     case WalOp::kJournalPut:
-      image.journal[record.key] = record.journal;
+      image.journal[record.key] = payload<std::vector<std::int64_t>>(record);
       break;
     case WalOp::kPutForward:
-      image.forwards[record.key] = record.forward;
+      image.forwards[record.key] = payload<ForwardStateRecord>(record);
       break;
     case WalOp::kEraseForward:
       image.forwards.erase(record.key);
       break;
     case WalOp::kPutHandoff:
-      image.handoffs[record.key] = record.handoff;
+      image.handoffs[record.key] = payload<HandoffRecord>(record);
       break;
   }
 }

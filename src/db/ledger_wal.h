@@ -8,20 +8,19 @@
 //
 //     append(WAL record)  ->  ack caller  ->  ...  ->  group commit
 //
-// Every mutation appends a full-payload WalRecord (the in-sim durable log
-// object) BEFORE the caller sees the ack.  The durable state of each shard
-// is modeled by a TableImage that advances only when that shard commits:
-// synchronous ops advance their shard at call time (the round trip IS the
-// write), write-behind ops advance at flush, and records a shard has
-// applied are truncated from the log.  Recovery is then mechanical: start
-// from the image, replay WAL-ahead-of-shard records in global sequence
-// order — skipping anything the shard already applied, so replay is
-// idempotent — and the result equals the pre-crash live tables exactly,
-// because every live mutation was WAL'd first.
+// Every mutation appends a WalRecord carrying its op's payload (the in-sim
+// durable log object) BEFORE the caller sees the ack.  The durable state of
+// each shard is modeled by a TableImage that advances only when that shard
+// commits: synchronous ops advance their shard at call time (the round
+// trip IS the write), write-behind ops advance at flush, and records a
+// shard has applied are truncated from the log.  Recovery is then
+// mechanical: start from the image, replay WAL-ahead-of-shard records in
+// global sequence order — skipping anything the shard already applied, so
+// replay is idempotent — and the result equals the pre-crash live tables
+// exactly, because every live mutation was WAL'd first.
 //
-// The WAL is bookkeeping, not cost: it charges no ops, so shard counters,
-// the M/M/1 latency model and decision-path accounting are the same with
-// or without it.
+// The WAL is bookkeeping, not cost: it charges no ops, so shard counters
+// and decision-path accounting are the same with or without it.
 #pragma once
 
 #include <cstdint>
@@ -29,6 +28,7 @@
 #include <map>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "db/database.h"
@@ -44,7 +44,7 @@ enum class WalOp {
   kOpenAllocation,
   kCloseAllocation,
   kEnqueue,  // queue_seq > 0: tail push; < 0: front push
-  kPop,
+  kPop,      // a scheduler pass or pop_request took the row
   kRemoveRequest,
   kProvenance,
   kMetric,
@@ -58,32 +58,57 @@ enum class WalOp {
 
 std::string_view wal_op_name(WalOp op);
 
+/// kCloseAllocation payload (the close time is the header's `at`).
+struct WalCloseAllocation {
+  std::uint64_t allocation_id = 0;
+  AllocationOutcome outcome = AllocationOutcome::kRunning;
+};
+
+/// kEnqueue payload: the request and its insertion stamp.
+struct WalEnqueue {
+  PendingRequest request;
+  std::int64_t queue_seq = 0;
+};
+
+/// kPop / kRemoveRequest payload: the exact queue row that left, by its
+/// priority and insertion stamp (a job id can be queued twice, and a pass
+/// can take a row from behind rows it skipped).
+struct WalQueueRow {
+  int priority = 0;
+  std::int64_t queue_seq = 0;
+};
+
+/// kMetric payload (the point's time is the header's `at`).
+struct WalMetric {
+  double value = 0;
+};
+
+/// Per-op payloads.  kUpsertNode: NodeRecord.  kSetNodeStatus: NodeStatus.
+/// kTouchHeartbeatBatch: (row, at) pairs, max-merged.  kOpenAllocation:
+/// AllocationRecord.  kCloseAllocation: WalCloseAllocation.  kEnqueue:
+/// WalEnqueue.  kPop, kRemoveRequest: WalQueueRow.  kProvenance:
+/// JobProvenance.  kMetric: WalMetric.  kPutJobState: JobStateRecord.
+/// kJournalPut: the counter values.  kPutForward: ForwardStateRecord.
+/// kPutHandoff: HandoffRecord.  The erase ops carry std::monostate: their
+/// key is the whole mutation.
+using WalPayload =
+    std::variant<std::monostate, NodeRecord, NodeStatus,
+                 std::vector<std::pair<NodeRow, util::SimTime>>,
+                 AllocationRecord, WalCloseAllocation, WalEnqueue,
+                 WalQueueRow, JobProvenance, WalMetric, JobStateRecord,
+                 std::vector<std::int64_t>, ForwardStateRecord,
+                 HandoffRecord>;
+
 /// One logged mutation, payload included — the log alone must be able to
-/// reconstruct the mutation on replay.  Flat optional fields per op (the
-/// codebase's record idiom); only the fields an op uses are meaningful.
+/// reconstruct the mutation on replay.  A fixed header plus the one payload
+/// its op carries.
 struct WalRecord {
   std::uint64_t seq = 0;  // global, stamped by LedgerWal::append
   std::size_t shard = 0;  // owner of the durable row(s) this mutates
   WalOp op = WalOp::kUpsertNode;
   std::string key;        // machine id / job id / series name / blob key
   util::SimTime at = 0;
-
-  NodeRecord node;                          // kUpsertNode
-  NodeStatus status = NodeStatus::kActive;  // kSetNodeStatus
-  std::vector<std::pair<NodeRow, util::SimTime>>
-      batch_rows;                           // kTouchHeartbeatBatch
-  AllocationRecord allocation;              // kOpenAllocation
-  std::uint64_t allocation_id = 0;          // kCloseAllocation
-  AllocationOutcome outcome = AllocationOutcome::kRunning;
-  PendingRequest request;                   // kEnqueue
-  std::int64_t queue_seq = 0;               // kEnqueue (insertion stamp)
-  int priority = 0;                         // kPop
-  double value = 0;                         // kMetric
-  JobProvenance provenance;                 // kProvenance
-  JobStateRecord job_state;                 // kPutJobState
-  std::vector<std::int64_t> journal;        // kJournalPut
-  ForwardStateRecord forward;               // kPutForward
-  HandoffRecord handoff;                    // kPutHandoff
+  WalPayload payload;
 };
 
 /// What a restarted process would read back from the shards: one logical
@@ -139,7 +164,7 @@ class LedgerWal {
   explicit LedgerWal(std::size_t shard_count) : applied_(shard_count, 0) {}
 
   /// Stamps the record's global seq and appends it; returns the seq.  The
-  /// record (~2 KB of mostly empty fields) is moved in exactly once.
+  /// record (header plus one op's payload) is moved in exactly once.
   std::uint64_t append(WalRecord&& record);
 
   const std::deque<WalRecord>& records() const { return records_; }

@@ -1,6 +1,7 @@
 #include "db/sharded_database.h"
 
 #include <algorithm>
+#include <cassert>
 
 #include "obs/trace.h"
 
@@ -8,12 +9,24 @@ namespace gpunion::db {
 
 namespace {
 
-WalRecord make_wal(WalOp op, std::size_t shard, std::string key) {
+WalRecord make_wal(WalOp op, std::size_t shard, std::string key,
+                   WalPayload payload = {}, util::SimTime at = 0) {
   WalRecord record;
   record.op = op;
   record.shard = shard;
   record.key = std::move(key);
+  record.at = at;
+  record.payload = std::move(payload);
   return record;
+}
+
+/// The row of a stamp-sorted queue deque with stamp `seq`, or end().
+template <typename Fifo>
+auto find_stamp(Fifo& fifo, std::int64_t seq) {
+  auto row = std::lower_bound(
+      fifo.begin(), fifo.end(), seq,
+      [](const auto& item, std::int64_t stamp) { return item.seq < stamp; });
+  return row != fifo.end() && row->seq == seq ? row : fifo.end();
 }
 
 }  // namespace
@@ -268,10 +281,11 @@ util::Status ShardedDatabase::upsert_node(NodeRecord record) {
     ++shards_[shard].rows;
   }
   record.row = row;
-  WalRecord wal = make_wal(WalOp::kUpsertNode, shard, record.machine_id);
-  wal.node = record;
-  node_rows_[row] = std::move(record);
-  wal_append(std::move(wal), /*deferred=*/false);
+  node_rows_[row] = record;
+  std::string key = record.machine_id;
+  wal_append(make_wal(WalOp::kUpsertNode, shard, std::move(key),
+                      std::move(record)),
+             /*deferred=*/false);
   return util::Status();
 }
 
@@ -299,9 +313,8 @@ util::Status ShardedDatabase::set_node_status(const std::string& machine_id,
     return util::not_found_error("node " + machine_id + " not registered");
   }
   node_rows_[it->second].status = s;
-  WalRecord wal = make_wal(WalOp::kSetNodeStatus, shard, machine_id);
-  wal.status = s;
-  wal_append(std::move(wal), /*deferred=*/false);
+  wal_append(make_wal(WalOp::kSetNodeStatus, shard, machine_id, s),
+             /*deferred=*/false);
   return util::Status();
 }
 
@@ -329,9 +342,9 @@ std::size_t ShardedDatabase::touch_heartbeats(
   for (std::size_t shard = 0; shard < by_shard.size(); ++shard) {
     if (by_shard[shard].empty()) continue;
     charge(shard, /*decision_path=*/false);
-    WalRecord wal = make_wal(WalOp::kTouchHeartbeatBatch, shard, {});
-    wal.batch_rows = std::move(by_shard[shard]);
-    wal_append(std::move(wal), /*deferred=*/false);
+    wal_append(make_wal(WalOp::kTouchHeartbeatBatch, shard, {},
+                        std::move(by_shard[shard])),
+               /*deferred=*/false);
   }
   return applied;
 }
@@ -379,12 +392,12 @@ std::uint64_t ShardedDatabase::open_allocation(const std::string& job_id,
   record.interactive = interactive;
   record.started_at = at;
   const std::uint64_t id = record.allocation_id;
-  WalRecord wal = make_wal(WalOp::kOpenAllocation, shard, machine_id);
-  wal.allocation = record;
   ledger_index_[id] = ledger_.size();
-  ledger_.push_back(std::move(record));
+  ledger_.push_back(record);
   ++shards_[shard].rows;
-  wal_append(std::move(wal), /*deferred=*/true);
+  wal_append(make_wal(WalOp::kOpenAllocation, shard, machine_id,
+                      std::move(record)),
+             /*deferred=*/true);
   absorb(LedgerOpKind::kAllocationOpen, shard, machine_id, id, at);
   return id;
 }
@@ -405,11 +418,9 @@ util::Status ShardedDatabase::close_allocation(std::uint64_t allocation_id,
   record.outcome = outcome;
   record.ended_at = at;
   const std::size_t shard = shard_for_node(record.machine_id);
-  WalRecord wal = make_wal(WalOp::kCloseAllocation, shard, record.machine_id);
-  wal.allocation_id = allocation_id;
-  wal.outcome = outcome;
-  wal.at = at;
-  wal_append(std::move(wal), /*deferred=*/true);
+  wal_append(make_wal(WalOp::kCloseAllocation, shard, record.machine_id,
+                      WalCloseAllocation{allocation_id, outcome}, at),
+             /*deferred=*/true);
   absorb(LedgerOpKind::kAllocationClose, shard, record.machine_id,
          allocation_id, at);
   return util::Status();
@@ -433,81 +444,161 @@ std::vector<AllocationRecord> ShardedDatabase::allocations_for_job(
 // ---------------------------------------------------------------------------
 
 void ShardedDatabase::enqueue_request(PendingRequest request) {
-  const std::size_t shard = shard_for_job(request.job_id);
-  ++shards_[shard].rows;
-  ++queued_rows_;
-  const std::int64_t seq = ++queue_back_seq_;
-  WalRecord wal = make_wal(WalOp::kEnqueue, shard, request.job_id);
-  wal.request = request;
-  wal.queue_seq = seq;
-  wal_append(std::move(wal), /*deferred=*/true);
-  absorb(LedgerOpKind::kEnqueue, shard, request.job_id, 0,
-         clock_ ? clock_() : request.submitted_at);
-  const int priority = request.priority;
-  queue_parts_[shard].by_priority[priority].push_back(
-      QueueItem{std::move(request), seq});
+  push_request(std::move(request), ++queue_back_seq_);
 }
 
 void ShardedDatabase::enqueue_request_front(PendingRequest request) {
+  push_request(std::move(request), --queue_front_seq_);
+}
+
+void ShardedDatabase::push_request(PendingRequest request, std::int64_t seq) {
   const std::size_t shard = shard_for_job(request.job_id);
   ++shards_[shard].rows;
   ++queued_rows_;
-  const std::int64_t seq = --queue_front_seq_;
-  WalRecord wal = make_wal(WalOp::kEnqueue, shard, request.job_id);
-  wal.request = request;
-  wal.queue_seq = seq;
-  wal_append(std::move(wal), /*deferred=*/true);
-  absorb(LedgerOpKind::kEnqueue, shard, request.job_id, 0,
-         clock_ ? clock_() : request.submitted_at);
-  const int priority = request.priority;
-  queue_parts_[shard].by_priority[priority].push_front(
-      QueueItem{std::move(request), seq});
+  const QueuePos pos{request.priority, seq};
+  // A row that lands ahead of a running pass's cursor would be missed by
+  // the cursor walk; the pass offers it from this list instead.
+  if (pass_.active && pass_.cursor && pops_before(pos, *pass_.cursor)) {
+    pass_.behind.push_back(QueueRowRef{shard, pos});
+  }
+  const util::SimTime acked_at = clock_ ? clock_() : request.submitted_at;
+  wal_append(make_wal(WalOp::kEnqueue, shard, request.job_id,
+                      WalEnqueue{request, seq}),
+             /*deferred=*/true);
+  absorb(LedgerOpKind::kEnqueue, shard, request.job_id, 0, acked_at);
+  auto& fifo = queue_parts_[shard].by_priority[pos.priority];
+  // Front pushes carry the smallest stamp yet, back pushes the largest, so
+  // each deque stays sorted by stamp.
+  if (seq < 0) {
+    fifo.push_front(QueueItem{std::move(request), seq});
+  } else {
+    fifo.push_back(QueueItem{std::move(request), seq});
+  }
 }
 
-std::optional<PendingRequest> ShardedDatabase::pop_request() {
-  // The scheduler's pop is the one queue op that stays synchronous: it is
-  // a read-modify-write whose result the decision needs NOW.  Any writer
-  // lane can serve it (multi-writer), so the load rotates.  The serving
-  // shard pops from its own partition when it holds the globally best
-  // request and STEALS from the partition that does otherwise — the same
-  // (priority desc, insertion order) result one global queue would give,
-  // with per-shard storage.
-  const std::size_t server = rotate();
-  charge(server, /*decision_path=*/true);
-  std::size_t best_shard = queue_parts_.size();
-  int best_priority = 0;
-  std::int64_t best_seq = 0;
+bool ShardedDatabase::pops_before(QueuePos a, QueuePos b) {
+  return a.priority > b.priority ||
+         (a.priority == b.priority && a.seq < b.seq);
+}
+
+std::optional<ShardedDatabase::QueueRowRef> ShardedDatabase::next_queue_row(
+    const std::optional<QueuePos>& after) const {
+  // Each partition's first row past `after`; the best of those is the
+  // global next.  Partitions are (priority desc) maps of stamp-sorted
+  // deques, so each probe is two binary searches.
+  std::optional<QueueRowRef> best;
   for (std::size_t shard = 0; shard < queue_parts_.size(); ++shard) {
-    auto& parts = queue_parts_[shard].by_priority;
-    auto it = parts.begin();
-    while (it != parts.end() && it->second.empty()) it = parts.erase(it);
-    if (it == parts.end()) continue;
-    const int priority = it->first;
-    const std::int64_t seq = it->second.front().seq;
-    if (best_shard == queue_parts_.size() || priority > best_priority ||
-        (priority == best_priority && seq < best_seq)) {
-      best_shard = shard;
-      best_priority = priority;
-      best_seq = seq;
+    const auto& parts = queue_parts_[shard].by_priority;
+    for (auto it = after ? parts.lower_bound(after->priority) : parts.begin();
+         it != parts.end(); ++it) {
+      if (best && it->first < best->pos.priority) break;
+      const auto& fifo = it->second;
+      auto row = fifo.begin();
+      if (after && it->first == after->priority) {
+        row = std::upper_bound(fifo.begin(), fifo.end(), after->seq,
+                               [](std::int64_t seq, const QueueItem& item) {
+                                 return seq < item.seq;
+                               });
+      }
+      if (row == fifo.end()) continue;
+      const QueuePos pos{it->first, row->seq};
+      if (!best || pops_before(pos, best->pos)) {
+        best = QueueRowRef{shard, pos};
+      }
+      break;
     }
   }
-  if (best_shard == queue_parts_.size()) return std::nullopt;
-  if (best_shard == server) {
+  return best;
+}
+
+const ShardedDatabase::QueueItem* ShardedDatabase::find_queue_row(
+    const QueueRowRef& ref) const {
+  const auto& parts = queue_parts_[ref.shard].by_priority;
+  auto it = parts.find(ref.pos.priority);
+  if (it == parts.end()) return nullptr;
+  auto row = find_stamp(it->second, ref.pos.seq);
+  return row == it->second.end() ? nullptr : &*row;
+}
+
+std::optional<PendingRequest> ShardedDatabase::take_queue_row(
+    const QueueRowRef& ref, std::size_t server) {
+  auto& parts = queue_parts_[ref.shard].by_priority;
+  auto it = parts.find(ref.pos.priority);
+  if (it == parts.end()) return std::nullopt;
+  auto& fifo = it->second;
+  auto row = find_stamp(fifo, ref.pos.seq);
+  if (row == fifo.end()) return std::nullopt;
+  if (ref.shard == server) {
     ++local_pops_;
   } else {
     ++stolen_pops_;
   }
-  auto& parts = queue_parts_[best_shard].by_priority;
-  auto it = parts.find(best_priority);
-  PendingRequest request = std::move(it->second.front().request);
-  it->second.pop_front();
-  if (it->second.empty()) parts.erase(it);
-  if (shards_[best_shard].rows > 0) --shards_[best_shard].rows;
+  PendingRequest request = std::move(row->request);
+  fifo.erase(row);
+  if (fifo.empty()) parts.erase(it);
+  if (shards_[ref.shard].rows > 0) --shards_[ref.shard].rows;
   if (queued_rows_ > 0) --queued_rows_;
-  WalRecord wal = make_wal(WalOp::kPop, best_shard, request.job_id);
-  wal.priority = best_priority;
-  wal_append(std::move(wal), /*deferred=*/false);
+  wal_append(make_wal(WalOp::kPop, ref.shard, request.job_id,
+                      WalQueueRow{ref.pos.priority, ref.pos.seq}),
+             /*deferred=*/false);
   return request;
+}
+
+std::optional<PendingRequest> ShardedDatabase::pop_request() {
+  // A pop is a read-modify-write whose result the caller needs NOW, so it
+  // stays synchronous.  Any writer lane can serve it (multi-writer), so
+  // the load rotates; the serving shard takes from its own partition when
+  // it holds the globally best request and STEALS from the partition that
+  // does otherwise — the same (priority desc, insertion order) result one
+  // global queue would give, with per-shard storage.
+  const std::size_t server = rotate();
+  charge(server, /*decision_path=*/true);
+  const std::optional<QueueRowRef> front = next_queue_row(std::nullopt);
+  if (!front) return std::nullopt;
+  return take_queue_row(*front, server);
+}
+
+std::size_t ShardedDatabase::offer_requests(
+    const std::function<bool(const PendingRequest&)>& take) {
+  assert(!pass_.active && "offer_requests is not re-entrant");
+  // Reading the queue is one round trip any lane can serve.
+  charge(rotate(), /*decision_path=*/true);
+  pass_.active = true;
+  pass_.cursor.reset();
+  pass_.behind.clear();
+  std::size_t taken = 0;
+  for (;;) {
+    // The next row in pop order among those not yet offered: the first
+    // row past the cursor, or a row pushed ahead of the cursor during this
+    // pass, whichever pops first.  Positions, not iterators, are held
+    // across the callback, which may push or remove rows.
+    std::optional<QueueRowRef> next = next_queue_row(pass_.cursor);
+    auto behind = pass_.behind.end();
+    for (auto it = pass_.behind.begin(); it != pass_.behind.end(); ++it) {
+      if (behind == pass_.behind.end() || pops_before(it->pos, behind->pos)) {
+        behind = it;
+      }
+    }
+    if (behind != pass_.behind.end() &&
+        (!next || pops_before(behind->pos, next->pos))) {
+      next = *behind;
+      pass_.behind.erase(behind);
+    } else if (next) {
+      pass_.cursor = next->pos;
+    } else {
+      break;
+    }
+    const QueueItem* row = find_queue_row(*next);
+    if (row == nullptr) continue;  // removed since it was pushed
+    // A copy: the callback may move or erase the row.
+    const PendingRequest request = row->request;
+    if (!take(request)) continue;  // stays queued: no write at all
+    const std::size_t server = rotate();
+    charge(server, /*decision_path=*/true);
+    if (take_queue_row(*next, server)) ++taken;
+  }
+  pass_.active = false;
+  return taken;
 }
 
 bool ShardedDatabase::remove_request(const std::string& job_id) {
@@ -523,11 +614,12 @@ bool ShardedDatabase::remove_request(const std::string& job_id) {
     auto& fifo = it->second;
     for (auto rit = fifo.begin(); rit != fifo.end(); ++rit) {
       if (rit->request.job_id == job_id) {
+        const WalQueueRow row{it->first, rit->seq};
         fifo.erase(rit);
         if (fifo.empty()) parts.erase(it);
         if (shards_[shard].rows > 0) --shards_[shard].rows;
         if (queued_rows_ > 0) --queued_rows_;
-        wal_append(make_wal(WalOp::kRemoveRequest, shard, job_id),
+        wal_append(make_wal(WalOp::kRemoveRequest, shard, job_id, row),
                    /*deferred=*/false);
         return true;
       }
@@ -553,11 +645,11 @@ void ShardedDatabase::record_provenance(JobProvenance provenance) {
   ++shards_[shard].rows;
   const std::string job_id = provenance.job_id;
   const util::SimTime at = provenance.recorded_at;
-  WalRecord wal = make_wal(WalOp::kProvenance, shard, job_id);
-  wal.provenance = provenance;
   provenance_index_[provenance.job_id] = provenance_log_.size();
-  provenance_log_.push_back(std::move(provenance));
-  wal_append(std::move(wal), /*deferred=*/true);
+  provenance_log_.push_back(provenance);
+  wal_append(make_wal(WalOp::kProvenance, shard, job_id,
+                      std::move(provenance)),
+             /*deferred=*/true);
   absorb(LedgerOpKind::kProvenance, shard, job_id, 0, at);
 }
 
@@ -579,10 +671,8 @@ void ShardedDatabase::record_metric(const std::string& series,
   points.push_back(MetricPoint{at, value});
   while (points.size() > config_.history_limit) points.pop_front();
   const std::size_t shard = route(series);
-  WalRecord wal = make_wal(WalOp::kMetric, shard, series);
-  wal.at = at;
-  wal.value = value;
-  wal_append(std::move(wal), /*deferred=*/true);
+  wal_append(make_wal(WalOp::kMetric, shard, series, WalMetric{value}, at),
+             /*deferred=*/true);
   absorb(LedgerOpKind::kMetric, shard, series, 0, at);
 }
 
@@ -608,11 +698,11 @@ std::vector<std::string> ShardedDatabase::series_names() const {
 // ---------------------------------------------------------------------------
 
 void ShardedDatabase::put_job_state(JobStateRecord record) {
-  WalRecord wal =
-      make_wal(WalOp::kPutJobState, shard_for_job(record.job_id),
-               record.job_id);
-  wal.job_state = std::move(record);
-  wal_append(std::move(wal), /*deferred=*/false);
+  const std::size_t shard = shard_for_job(record.job_id);
+  std::string key = record.job_id;
+  wal_append(make_wal(WalOp::kPutJobState, shard, std::move(key),
+                      std::move(record)),
+             /*deferred=*/false);
 }
 
 bool ShardedDatabase::erase_job_state(const std::string& job_id) {
@@ -637,9 +727,8 @@ std::vector<JobStateRecord> ShardedDatabase::job_states() const {
 
 void ShardedDatabase::put_journal(const std::string& key,
                                   std::vector<std::int64_t> values) {
-  WalRecord wal = make_wal(WalOp::kJournalPut, route(key), key);
-  wal.journal = std::move(values);
-  wal_append(std::move(wal), /*deferred=*/false);
+  wal_append(make_wal(WalOp::kJournalPut, route(key), key, std::move(values)),
+             /*deferred=*/false);
 }
 
 const std::vector<std::int64_t>* ShardedDatabase::journal(
@@ -649,10 +738,11 @@ const std::vector<std::int64_t>* ShardedDatabase::journal(
 }
 
 void ShardedDatabase::put_forward_state(ForwardStateRecord record) {
-  WalRecord wal = make_wal(WalOp::kPutForward, shard_for_job(record.job_id),
-                           record.job_id);
-  wal.forward = std::move(record);
-  wal_append(std::move(wal), /*deferred=*/false);
+  const std::size_t shard = shard_for_job(record.job_id);
+  std::string key = record.job_id;
+  wal_append(make_wal(WalOp::kPutForward, shard, std::move(key),
+                      std::move(record)),
+             /*deferred=*/false);
 }
 
 bool ShardedDatabase::erase_forward_state(const std::string& job_id) {
@@ -670,10 +760,11 @@ std::vector<ForwardStateRecord> ShardedDatabase::forward_states() const {
 }
 
 void ShardedDatabase::put_handoff(HandoffRecord record) {
-  WalRecord wal = make_wal(WalOp::kPutHandoff, shard_for_job(record.job_id),
-                           record.job_id);
-  wal.handoff = std::move(record);
-  wal_append(std::move(wal), /*deferred=*/false);
+  const std::size_t shard = shard_for_job(record.job_id);
+  std::string key = record.job_id;
+  wal_append(make_wal(WalOp::kPutHandoff, shard, std::move(key),
+                      std::move(record)),
+             /*deferred=*/false);
 }
 
 std::vector<HandoffRecord> ShardedDatabase::handoffs() const {
@@ -684,7 +775,7 @@ std::vector<HandoffRecord> ShardedDatabase::handoffs() const {
 }
 
 // ---------------------------------------------------------------------------
-// Contention model
+// Op accounting
 // ---------------------------------------------------------------------------
 
 std::uint64_t ShardedDatabase::op_count() const {
@@ -698,18 +789,6 @@ std::vector<std::uint64_t> ShardedDatabase::shard_op_counts() const {
   out.reserve(shards_.size());
   for (const Shard& shard : shards_) out.push_back(shard.ops);
   return out;
-}
-
-double ShardedDatabase::estimated_shard_latency(
-    double shard_ops_per_sec) const {
-  const double mu = service_rate();
-  if (shard_ops_per_sec >= mu) return util::kNever;  // this writer saturated
-  return 1.0 / (mu - shard_ops_per_sec);
-}
-
-double ShardedDatabase::estimated_latency(double ops_per_sec) const {
-  return estimated_shard_latency(ops_per_sec /
-                                 static_cast<double>(shards_.size()));
 }
 
 }  // namespace gpunion::db

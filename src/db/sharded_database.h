@@ -1,18 +1,18 @@
 // Sharded, multi-writer system database with write-behind ledgering.
 //
-// Batching the heartbeat writes left the next wall: the ~10 synchronous DB
-// ops the scheduler pays per decision saturate a single-writer database
-// past ~2k nodes under load (per the M/M/1 model below).  This store
-// removes that wall along two axes:
+// Batching the heartbeat writes left the next wall: the synchronous DB ops
+// the scheduler pays per decision all queue behind one writer.  This store
+// spreads and defers them along two axes:
 //
 //  * Sharding: tables are partitioned by key — queue rows and provenance
 //    by JOB id, node registry / heartbeats / allocations by NODE id
 //    (deterministic FNV-1a routing) — across N writer shards, each with
-//    its own op counter and M/M/1 latency model.  Synchronous load that
-//    used to queue behind one writer spreads across N lanes; unkeyed ops
-//    (queue pops, depth probes) rotate round-robin, and fan-out reads
-//    (nodes(), allocations_for_job on a node-partitioned table) pay one
-//    scatter-gather op per shard.
+//    its own op counter.  Synchronous load that used to queue behind one
+//    writer spreads across N lanes; unkeyed ops (queue reads and pops,
+//    depth probes) rotate round-robin, and fan-out reads (nodes(),
+//    allocations_for_job on a node-partitioned table) pay one
+//    scatter-gather op per shard.  The scheduler's pass walks the queue in
+//    place (offer_requests): only the rows it removes are written.
 //
 //  * Write-behind: the coordinator's per-decision mutations (allocation
 //    open/close, pending-queue inserts, provenance, metric points) are
@@ -67,8 +67,6 @@ struct DbConfig {
   util::Duration flush_interval = 2.0;
   /// Pending ledger entries that force an immediate threshold flush.
   std::size_t flush_threshold = 256;
-  /// Mean service time of one op on ONE writer shard, seconds.
-  double op_service_time = 0.0008;
   /// Ring-buffer length per monitoring series.
   std::size_t history_limit = 4096;
 };
@@ -137,6 +135,18 @@ class ShardedDatabase {
   /// Pops the highest-priority request, FIFO within a priority (front
   /// pushes first, newest front push leading).
   std::optional<PendingRequest> pop_request();
+  /// The scheduler's pass, in place: offers every queued request to `take`
+  /// once, in pop_request order (priority desc, then insertion order across
+  /// all partitions), and removes only those `take` returns true for — one
+  /// kPop WAL record and one decision-path op each, on top of one op for
+  /// reading the queue.  A request `take` declines keeps its row and its
+  /// insertion stamp: no WAL record, no ledger absorb, no flush armed.
+  /// Requests enqueued (front or back) from inside `take` are offered in
+  /// the same pass, as a pop loop would have popped them; a row removed
+  /// inside `take` is not offered.  Not re-entrant.  Returns the number of
+  /// requests removed.
+  std::size_t offer_requests(
+      const std::function<bool(const PendingRequest&)>& take);
   /// Removes a queued request by job id (job cancelled); false if absent.
   bool remove_request(const std::string& job_id);
   std::size_t queue_depth() const;
@@ -183,16 +193,9 @@ class ShardedDatabase {
   /// All rows, job-id order.
   std::vector<HandoffRecord> handoffs() const;
 
-  // --- Contention model ------------------------------------------------------
+  // --- Op accounting ---------------------------------------------------------
   /// Total charged ops summed across shards (sync + flush commits).
   std::uint64_t op_count() const;
-  /// M/M/1 sojourn time for `ops_per_sec` split evenly across the shards
-  /// (per-shard arrival rate ops/N against the per-shard service rate).
-  /// Saturates (returns kNever) at/above the fleet's service rate — the
-  /// ">200 nodes" wall in §5.2.
-  double estimated_latency(double ops_per_sec) const;
-  /// Service rate of ONE writer shard (the fleet serves shard_count x this).
-  double service_rate() const { return 1.0 / config_.op_service_time; }
 
   // --- Sharding introspection ------------------------------------------------
   int shard_count() const { return static_cast<int>(shards_.size()); }
@@ -215,8 +218,6 @@ class ShardedDatabase {
     return shards_.at(shard).rows;
   }
   std::vector<std::uint64_t> shard_op_counts() const;
-  /// M/M/1 sojourn time on ONE shard sustaining `shard_ops_per_sec`.
-  double estimated_shard_latency(double shard_ops_per_sec) const;
 
   // --- Write-behind ledger ---------------------------------------------------
   const WriteBehindLedger& ledger() const { return ledger_log_; }
@@ -281,19 +282,21 @@ class ShardedDatabase {
   bool flush_interrupted() const { return flush_interrupted_; }
 
   // --- Pending-queue work stealing -------------------------------------------
-  /// Pops served by the rotating (charged) shard's own partition.
+  /// Queue removals (pops and pass takes) served by the rotating (charged)
+  /// shard's own partition.
   std::uint64_t local_pops() const { return local_pops_; }
-  /// Pops whose globally best request lived in another shard's partition
-  /// (the stealing cross-partition case).
+  /// Queue removals whose row lived in another shard's partition (the
+  /// stealing cross-partition case).
   std::uint64_t stolen_pops() const { return stolen_pops_; }
 
   // --- Decision-path accounting ----------------------------------------------
   /// Ops charged synchronously at call time (everything except ledger
   /// group commits).
   std::uint64_t sync_op_count() const { return sync_ops_; }
-  /// Synchronous ops on the scheduler's decision path: queue pops and
-  /// removals (allocation open/close, queue inserts and provenance ride the
-  /// ledger instead).  This counter over dispatches is "ops per decision".
+  /// Synchronous ops on the scheduler's decision path: queue reads, pops,
+  /// pass takes and removals (allocation open/close, queue inserts and
+  /// provenance ride the ledger instead).  This counter over dispatches is
+  /// "ops per decision".
   std::uint64_t decision_path_sync_ops() const {
     return decision_path_sync_ops_;
   }
@@ -314,12 +317,47 @@ class ShardedDatabase {
     PendingRequest request;
     std::int64_t seq;
   };
-  /// Per-shard slice of the pending queue, keyed by priority (desc).  A
-  /// shard's partition holds the jobs it owns (shard_for_job); pops steal
-  /// across partitions for the global best.
+  /// Per-shard slice of the pending queue, keyed by priority (desc); each
+  /// deque is sorted by stamp.  A shard's partition holds the jobs it owns
+  /// (shard_for_job); pops steal across partitions for the global best.
   struct QueuePartition {
     std::map<int, std::deque<QueueItem>, std::greater<>> by_priority;
   };
+  /// A row's place in pop order (stamps are unique, so it names the row).
+  struct QueuePos {
+    int priority = 0;
+    std::int64_t seq = 0;
+  };
+  /// A row's owner partition and place.
+  struct QueueRowRef {
+    std::size_t shard = 0;
+    QueuePos pos;
+  };
+  /// The running offer_requests pass.  `cursor` is the last row offered
+  /// from the in-order walk; `behind` holds rows pushed ahead of it during
+  /// the pass and not offered yet.
+  struct QueuePass {
+    bool active = false;
+    std::optional<QueuePos> cursor;
+    std::vector<QueueRowRef> behind;
+  };
+
+  /// True when `a` pops before `b`: priority desc, then stamp asc.
+  static bool pops_before(QueuePos a, QueuePos b);
+  /// The first row after `after` in pop order across all partitions (the
+  /// global front when `after` is empty): the one ordering rule behind
+  /// pop_request and offer_requests.
+  std::optional<QueueRowRef> next_queue_row(
+      const std::optional<QueuePos>& after) const;
+  /// The row `ref` names, or nullptr once it has left the queue.
+  const QueueItem* find_queue_row(const QueueRowRef& ref) const;
+  /// Removes the row `ref` names (nullopt if it already left) and logs one
+  /// kPop; `server` is the lane whose round trip paid for it, which makes
+  /// the removal local or stolen.
+  std::optional<PendingRequest> take_queue_row(const QueueRowRef& ref,
+                                               std::size_t server);
+  /// Inserts a row stamped `seq` (front pushes negative, back positive).
+  void push_request(PendingRequest request, std::int64_t seq);
 
   std::size_t route(std::string_view key) const;
   /// Charges one synchronous op to `shard`.
@@ -366,6 +404,7 @@ class ShardedDatabase {
   std::int64_t queue_back_seq_ = 0;   // next back push stamps ++this
   std::int64_t queue_front_seq_ = 0;  // next front push stamps --this
   std::size_t queued_rows_ = 0;       // cached depth (O(1) probes)
+  QueuePass pass_;
   std::unordered_map<std::string, std::deque<MetricPoint>> metrics_;
   std::vector<JobProvenance> provenance_log_;
   std::unordered_map<std::string, std::size_t> provenance_index_;

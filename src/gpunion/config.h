@@ -37,7 +37,7 @@ struct CampusConfig {
   net::SimNetworkConfig network;
   storage::CheckpointStoreConfig checkpoint_store;
   /// System-database model: writer shard count, the write-behind ledger's
-  /// flush knobs and the per-shard M/M/1 service time.
+  /// flush knobs and the monitoring history length.
   db::DbConfig db;
   /// Monitoring scrape interval into the system database.
   util::Duration scrape_interval = 60.0;

@@ -1262,19 +1262,15 @@ void Coordinator::request_pass() {
 
 void Coordinator::schedule_pass() {
   if (crashed_) return;
-  std::vector<db::PendingRequest> retry;
-  while (auto request = database_.pop_request()) {
-    auto it = jobs_.find(request->job_id);
+  // One walk over the queue in pop order.  A request that cannot be placed
+  // keeps its row and its place: only placed or stale rows are written.
+  database_.offer_requests([this](const db::PendingRequest& request) {
+    auto it = jobs_.find(request.job_id);
     if (it == jobs_.end() || it->second.phase != JobPhase::kPending) {
-      continue;  // cancelled / denied / already placed
+      return true;  // cancelled / denied / already placed: drop the row
     }
-    if (!try_place(it->second)) {
-      retry.push_back(*request);
-    }
-  }
-  for (auto& request : retry) {
-    database_.enqueue_request(std::move(request));
-  }
+    return try_place(it->second);
+  });
 }
 
 bool Coordinator::try_place(JobRecord& record) {

@@ -1,7 +1,7 @@
 // ShardedDatabase: deterministic shard routing, per-shard op accounting,
 // read-your-writes through the write-behind ledger, flush-on-threshold vs
 // flush-on-interval triggers, literal table contents after a fixed op
-// sequence, the M/M/1 latency model against its closed form, and a
+// sequence, the in-place scheduling pass, and a
 // randomized differential test of the live sharded tables against the
 // durable image the WAL materializes.
 #include "db/sharded_database.h"
@@ -10,8 +10,10 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -285,34 +287,180 @@ TEST(ShardedDbTest, ShardedWriteBehindConvergesToSameContents) {
   }
 }
 
-TEST(ShardedDbTest, PerShardLatencyModel) {
-  const double mu = 1.0 / DbConfig{}.op_service_time;  // 1250 ops/s
+// ---------------------------------------------------------------------------
+// In-place scheduling pass (offer_requests) vs the pop loop it replaced.
+// ---------------------------------------------------------------------------
+
+/// A pass's take decision; it may push or remove rows of `database`.
+using TakeFn =
+    std::function<bool(ShardedDatabase& database, const PendingRequest&)>;
+
+/// The loop offer_requests replaced: pop every request, then re-enqueue
+/// each one `take` declined at the tail, in pop order.  Returns the job
+/// ids in the order they were offered.
+std::vector<std::string> pop_loop_pass(ShardedDatabase& database,
+                                       const TakeFn& take) {
+  std::vector<std::string> offered;
+  std::vector<PendingRequest> retry;
+  while (auto request = database.pop_request()) {
+    offered.push_back(request->job_id);
+    if (!take(database, *request)) retry.push_back(*request);
+  }
+  for (PendingRequest& request : retry) {
+    database.enqueue_request(std::move(request));
+  }
+  return offered;
+}
+
+std::vector<std::string> in_place_pass(ShardedDatabase& database,
+                                       const TakeFn& take) {
+  std::vector<std::string> offered;
+  database.offer_requests([&](const PendingRequest& request) {
+    offered.push_back(request.job_id);
+    return take(database, request);
+  });
+  return offered;
+}
+
+std::vector<std::string> drain_ids(ShardedDatabase& database) {
+  std::vector<std::string> out;
+  while (auto request = database.pop_request()) out.push_back(request->job_id);
+  return out;
+}
+
+/// (priority, stamp) -> job id of every durable queue row.
+std::map<std::pair<int, std::int64_t>, std::string> queue_stamps(
+    const ShardedDatabase& database) {
+  std::map<std::pair<int, std::int64_t>, std::string> out;
+  for (const auto& [priority, bucket] : database.durable_image().queue) {
+    for (const auto& [seq, request] : bucket) {
+      out[{priority, seq}] = request.job_id;
+    }
+  }
+  return out;
+}
+
+/// Mixed priorities, tail pushes and displaced (front-pushed) requests.
+void fill_queue(ShardedDatabase& database) {
+  database.enqueue_request({"a", 1, 1.0});
+  database.enqueue_request({"b", 1, 2.0});
+  database.enqueue_request({"c", 3, 3.0});
+  database.enqueue_request_front({"displaced-1", 1, 4.0});
+  database.enqueue_request({"d", 1, 5.0});
+  database.enqueue_request_front({"displaced-2", 1, 6.0});
+  database.enqueue_request({"e", 0, 7.0});
+}
+
+TEST(InPlacePassTest, UnplaceableRequestsCostNoWrite) {
   for (const int shards : {1, 4, 8}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     ShardedDatabase database(sharded_config(shards));
-    EXPECT_DOUBLE_EQ(database.service_rate(), mu);
-    // M/M/1 sojourn time 1/(mu - lambda) per writer; the fleet load splits
-    // evenly across the shards.
-    for (const double lambda : {0.0, 100.0, 0.5 * mu, 0.99 * mu}) {
-      EXPECT_DOUBLE_EQ(database.estimated_shard_latency(lambda),
-                       1.0 / (mu - lambda));
-      EXPECT_DOUBLE_EQ(database.estimated_latency(lambda * shards),
-                       1.0 / (mu - lambda));
-    }
-    // Saturation at and beyond the fleet's service rate.
-    EXPECT_EQ(database.estimated_shard_latency(mu), util::kNever);
-    EXPECT_EQ(database.estimated_latency(shards * mu), util::kNever);
-    EXPECT_EQ(database.estimated_latency(2.0 * shards * mu), util::kNever);
+    int dirty_hooks = 0;
+    database.set_on_ledger_dirty([&] { ++dirty_hooks; });
+    fill_queue(database);
+    database.flush_ledger();
+    const auto stamps = queue_stamps(database);
+    ASSERT_EQ(stamps.size(), 7u);
+    const std::uint64_t appended = database.wal().stats().appended;
+    const std::uint64_t absorbed = database.ledger().stats().absorbed;
+    const int hooks = dirty_hooks;
+
+    // Every request offered once, in pop order; none taken.
+    ShardedDatabase reference = database;
+    const std::vector<std::string> want = drain_ids(reference);
+    std::vector<std::string> offered;
+    EXPECT_EQ(database.offer_requests([&](const PendingRequest& request) {
+      offered.push_back(request.job_id);
+      return false;
+    }),
+              0u);
+    EXPECT_EQ(offered, want);
+
+    // No WAL record, no ledger absorb, no flush armed, rows and stamps
+    // untouched.
+    EXPECT_EQ(database.wal().stats().appended, appended);
+    EXPECT_EQ(database.wal().depth(), 0u);
+    EXPECT_EQ(database.ledger().stats().absorbed, absorbed);
+    EXPECT_TRUE(database.ledger().empty());
+    EXPECT_EQ(dirty_hooks, hooks);
+    EXPECT_EQ(database.queue_depth(), 7u);
+    database.flush_ledger();
+    EXPECT_EQ(queue_stamps(database), stamps);
+    EXPECT_EQ(drain_ids(database), want);
   }
-  // One writer at the default 0.8 ms service time: sub-millisecond when
-  // light, an order of magnitude worse close to saturation.
-  ShardedDatabase single(sharded_config(1));
-  const double light = single.estimated_latency(100.0);
-  EXPECT_LT(light, 0.001);
-  EXPECT_GT(single.estimated_latency(1200.0), 10 * light);
-  // A load that saturates one writer is comfortable across four.
-  ShardedDatabase four(sharded_config(4));
-  EXPECT_LT(four.estimated_latency(2.0 * mu), 0.01);
+}
+
+TEST(InPlacePassTest, PlacingTheMiddleRequestKeepsThePopLoopOrder) {
+  for (const int shards : {1, 4, 8}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ShardedDatabase in_place(sharded_config(shards));
+    fill_queue(in_place);
+    ShardedDatabase pop_loop = in_place;
+    // Pop order: c, displaced-2, displaced-1, a, b, d, e.  Place "a".
+    const TakeFn take_middle = [](ShardedDatabase&,
+                                  const PendingRequest& request) {
+      return request.job_id == "a";
+    };
+    const std::uint64_t appended = in_place.wal().stats().appended;
+    const std::uint64_t ops = in_place.decision_path_sync_ops();
+    const std::vector<std::string> offered =
+        in_place_pass(in_place, take_middle);
+    EXPECT_EQ(offered, pop_loop_pass(pop_loop, take_middle));
+    EXPECT_EQ(offered,
+              (std::vector<std::string>{"c", "displaced-2", "displaced-1",
+                                        "a", "b", "d", "e"}));
+    // One kPop record and one round trip for the take, plus the read.
+    EXPECT_EQ(in_place.wal().stats().appended, appended + 1);
+    EXPECT_EQ(in_place.decision_path_sync_ops(), ops + 2);
+    EXPECT_EQ(in_place.local_pops() + in_place.stolen_pops(), 1u);
+
+    // Later pushes land where they would have after the pop loop: a new
+    // displaced request leads its priority, a new submission trails it,
+    // and the earlier displaced requests keep their lead over b and d.
+    for (ShardedDatabase* database : {&in_place, &pop_loop}) {
+      database->enqueue_request({"late", 1, 8.0});
+      database->enqueue_request_front({"displaced-3", 1, 9.0});
+    }
+    const std::vector<std::string> remaining = drain_ids(in_place);
+    EXPECT_EQ(remaining, drain_ids(pop_loop));
+    EXPECT_EQ(remaining,
+              (std::vector<std::string>{"c", "displaced-3", "displaced-2",
+                                        "displaced-1", "b", "d", "late",
+                                        "e"}));
+  }
+}
+
+TEST(InPlacePassTest, RowsPushedFromTheCallbackAreOfferedInTheSamePass) {
+  for (const int shards : {1, 4, 8}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ShardedDatabase in_place(sharded_config(shards));
+    fill_queue(in_place);
+    ShardedDatabase pop_loop = in_place;
+    // While "displaced-1" is offered (the cursor sits inside priority 1),
+    // an owner reclaim displaces a priority-5 job to the front — ahead of
+    // the cursor — and a priority-0 job arrives at the tail; "d" is
+    // cancelled before its turn.  Everything else is declined.
+    const TakeFn take = [](ShardedDatabase& database,
+                           const PendingRequest& request) {
+      if (request.job_id == "displaced-1") {
+        database.enqueue_request_front({"reclaimed", 5, 10.0});
+        database.enqueue_request({"arrival", 0, 11.0});
+        EXPECT_TRUE(database.remove_request("d"));
+      }
+      return request.job_id == "reclaimed";
+    };
+    const std::vector<std::string> offered = in_place_pass(in_place, take);
+    EXPECT_EQ(offered, pop_loop_pass(pop_loop, take));
+    EXPECT_EQ(offered,
+              (std::vector<std::string>{"c", "displaced-2", "displaced-1",
+                                        "reclaimed", "a", "b", "e",
+                                        "arrival"}));
+    const std::vector<std::string> remaining = drain_ids(in_place);
+    EXPECT_EQ(remaining, drain_ids(pop_loop));
+    EXPECT_EQ(remaining,
+              (std::vector<std::string>{"c", "displaced-2", "displaced-1",
+                                        "a", "b", "e", "arrival"}));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -338,6 +486,10 @@ class ImageDifferential {
     std::uint64_t rejected_closes = 0;
     std::uint64_t recoveries = 0;
     std::uint64_t touched_rows = 0;  // handle-keyed touches that applied
+    std::uint64_t passes_compared = 0;  // in-place passes matched to a pop loop
+    std::uint64_t pass_takes = 0;       // rows an in-place pass removed
+    std::uint64_t pass_declines = 0;    // rows an in-place pass left queued
+    std::uint64_t pass_pushes = 0;      // rows pushed from inside a pass
   };
 
   ImageDifferential(std::uint64_t seed, int shards)
@@ -354,6 +506,8 @@ class ImageDifferential {
         expect_live_equals_image("after threshold flush at step " +
                                  std::to_string(step));
       }
+      // The scheduler's in-place pass, between ops like a flush.
+      if (rng_.bernoulli(0.08)) checked_pass(step);
       if (rng_.bernoulli(0.1)) {
         db_.flush_ledger(FlushTrigger::kInterval, now_);
         expect_live_equals_image("after flush at step " +
@@ -379,6 +533,10 @@ class ImageDifferential {
     coverage->rejected_closes += rejected_closes_;
     coverage->recoveries += recoveries_;
     coverage->touched_rows += touched_rows_;
+    coverage->passes_compared += passes_compared_;
+    coverage->pass_takes += pass_takes_;
+    coverage->pass_declines += pass_declines_;
+    coverage->pass_pushes += pass_pushes_;
   }
 
  private:
@@ -508,6 +666,107 @@ class ImageDifferential {
     ++pops_checked_;
   }
 
+  /// One in-place pass with a random take predicate whose callback may
+  /// push rows (front or back) and cancel queued jobs, run side by side
+  /// with the pop loop it replaced on a copy of the store.  Both make the
+  /// same decision at the same offer index, so while their histories agree
+  /// the offer order and the remaining queue must agree too.  They part
+  /// where the pop loop's popped-then-requeued rows are not in the queue:
+  /// a cancel of a job this pass already offered, or a front push into a
+  /// priority whose row this pass declined (the in-place row keeps its
+  /// stamp behind the new front push; the pop loop requeued it after).
+  void checked_pass(int step) {
+    db_.flush_ledger(FlushTrigger::kExplicit, now_);
+    expect_live_equals_image("before pass at step " + std::to_string(step));
+    struct Decision {
+      bool take = false;
+      int mutation = 0;  // 0 none, 1 front push, 2 back push, 3 cancel
+      PendingRequest request;
+    };
+    // Mutations only at offer indexes the queue held at the start, so
+    // pushes from inside the pass cannot cascade.
+    const std::size_t depth = db_.durable_image().queue_rows();
+    std::vector<Decision> plan(3 * depth + 1);
+    for (std::size_t i = 0; i < plan.size(); ++i) {
+      plan[i].take = rng_.bernoulli(0.3);
+      if (i < depth && rng_.bernoulli(0.25)) {
+        plan[i].mutation = static_cast<int>(rng_.uniform_int(1, 3));
+        plan[i].request = {job(), static_cast<int>(rng_.uniform_int(0, 3)),
+                           now_};
+      }
+    }
+    bool diverged = false;
+    auto run = [&](ShardedDatabase& database, bool in_place) {
+      std::vector<std::string> offered;
+      std::set<std::string> offered_jobs;
+      std::set<int> declined_priorities;
+      const TakeFn take = [&](ShardedDatabase& db,
+                              const PendingRequest& request) {
+        const Decision& decision = plan.at(offered.size());
+        offered.push_back(request.job_id);
+        offered_jobs.insert(request.job_id);
+        // The row being offered counts as declined already: the pop loop
+        // popped it before the callback's pushes.
+        if (!decision.take) declined_priorities.insert(request.priority);
+        switch (decision.mutation) {
+          case 1:
+            if (in_place &&
+                declined_priorities.count(decision.request.priority) > 0) {
+              diverged = true;
+            }
+            db.enqueue_request_front(decision.request);
+            if (in_place) ++pass_pushes_;
+            break;
+          case 2:
+            db.enqueue_request(decision.request);
+            if (in_place) ++pass_pushes_;
+            break;
+          case 3:
+            if (in_place && offered_jobs.count(decision.request.job_id) > 0) {
+              diverged = true;
+            }
+            if (db.remove_request(decision.request.job_id) && in_place) {
+              ++removals_;
+            }
+            break;
+          default:
+            break;
+        }
+        if (in_place) ++(decision.take ? pass_takes_ : pass_declines_);
+        return decision.take;
+      };
+      if (in_place) {
+        (void)in_place_pass(database, take);
+      } else {
+        (void)pop_loop_pass(database, take);
+      }
+      return offered;
+    };
+    ShardedDatabase pop_loop = db_;
+    const std::uint64_t appended = db_.wal().stats().appended;
+    const std::size_t takes_before = pass_takes_;
+    const std::vector<std::string> offered = run(db_, /*in_place=*/true);
+    const std::vector<std::string> want = run(pop_loop, /*in_place=*/false);
+    if (!diverged) {
+      ++passes_compared_;
+      EXPECT_EQ(offered, want) << "step " << step;
+      ShardedDatabase remaining = db_;
+      EXPECT_EQ(drain_ids(remaining), drain_ids(pop_loop)) << "step " << step;
+    }
+    // Only takes, callback pushes and cancels write: a declined row never.
+    EXPECT_LE(db_.wal().stats().appended - appended,
+              (pass_takes_ - takes_before) + depth)
+        << "step " << step;
+    db_.flush_ledger(FlushTrigger::kExplicit, now_);
+    expect_live_equals_image("after pass at step " + std::to_string(step));
+    if (rng_.bernoulli(0.3)) {
+      (void)db_.crash_and_recover();
+      ++recoveries_;
+      expect_live_equals_image("after recovery following the pass at step " +
+                               std::to_string(step));
+    }
+  }
+
   void expect_live_equals_image(const std::string& context) {
     SCOPED_TRACE(context);
     ++tables_checked_;
@@ -613,6 +872,10 @@ class ImageDifferential {
   std::uint64_t rejected_closes_ = 0;
   std::uint64_t recoveries_ = 0;
   std::uint64_t touched_rows_ = 0;
+  std::uint64_t passes_compared_ = 0;
+  std::uint64_t pass_takes_ = 0;
+  std::uint64_t pass_declines_ = 0;
+  std::uint64_t pass_pushes_ = 0;
 };
 
 TEST(ShardedDbTest, RandomizedLiveTablesEqualDurableImage) {
@@ -639,6 +902,10 @@ TEST(ShardedDbTest, RandomizedLiveTablesEqualDurableImage) {
     EXPECT_GT(coverage.rejected_closes, count);
     EXPECT_GT(coverage.recoveries, count);
     EXPECT_GT(coverage.touched_rows, 20 * count);
+    EXPECT_GT(coverage.passes_compared, 10 * count);
+    EXPECT_GT(coverage.pass_takes, 10 * count);
+    EXPECT_GT(coverage.pass_declines, 20 * count);
+    EXPECT_GT(coverage.pass_pushes, 2 * count);
     if (shards > 1) {
       EXPECT_GT(coverage.stolen_pops, 10 * count);
     }

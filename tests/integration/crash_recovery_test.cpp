@@ -69,7 +69,9 @@ CampaignResult run_campaign(std::uint64_t seed,
   SCOPED_TRACE("GPUNION_INVARIANT_SEED=" + std::to_string(seed) + " point=" +
                crash_point);
   sim::Environment env(seed);
-  Platform platform(env, crash_campus(4));
+  // Eight single-GPU nodes: enough that each submission wave below is
+  // placed at once.
+  Platform platform(env, crash_campus(8));
   platform.start();
   platform.register_crash_points(/*downtime=*/1.5);
   env.run_until(5.0);
@@ -89,10 +91,14 @@ CampaignResult run_campaign(std::uint64_t seed,
   };
   submit_batch(4);
   // Three crashes while the backlog drains, each 0.1 s after a fresh
-  // submission wave: the wave's ledgered enqueues are acked but cannot
-  // have been flushed yet (no threshold flush; the interval commits land
-  // at 30/60/90/120 s), so the dirty crash points find a dirty WAL every
-  // time.  The gaps dwarf the 1.5 s downtime, so each trigger finds a
+  // submission wave that free nodes take at once: the wave's allocation
+  // opens ride the ledger on their nodes' shards and are acked but not yet
+  // durable (no threshold flush; the interval commits land at
+  // 30/60/90/120 s, and the job-state write that follows each open lands
+  // on the job's shard), so the dirty crash points find a dirty WAL every
+  // time.  A wave that had to wait would leave nothing dirty: its enqueues
+  // become durable with the job-state write on the same shard, and a
+  // scheduling pass writes nothing for requests it cannot place.  The gaps dwarf the 1.5 s downtime, so each trigger finds a
   // live control plane to kill.
   for (double at : {20.0, 80.0, 140.0}) {
     env.schedule_at(at - 0.1, [&] { submit_batch(2); });

@@ -47,7 +47,7 @@ CampusConfig invariant_campus(int nodes) {
   config.scrape_interval = 1e9;
   // Small flush threshold so both flush triggers fire during a run.
   config.db.shard_count = 4;
-  config.db.flush_threshold = 16;
+  config.db.flush_threshold = 4;
   config.db.flush_interval = 5.0;
   return config;
 }

@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <string>
+#include <utility>
+
 #include "agent/provider_agent.h"
 #include "net/sim_network.h"
 #include "workload/profiles.h"
@@ -122,6 +127,50 @@ TEST_F(CoordinatorTest, SubmitDispatchesAndCompletes) {
   const auto allocations = database_.allocations_for_job("job-1");
   ASSERT_EQ(allocations.size(), 1u);
   EXPECT_EQ(allocations[0].outcome, db::AllocationOutcome::kCompleted);
+}
+
+TEST_F(CoordinatorTest, PassOverUnplaceableBacklogWritesNothing) {
+  make_coordinator();
+  add_agent("ws-0", hw::workstation_3090("ws-0"));
+  ASSERT_TRUE(coordinator_->submit(training_job("job-0", 1.0)).is_ok());
+  for (int i = 1; i <= 5; ++i) {
+    ASSERT_TRUE(
+        coordinator_->submit(training_job("job-" + std::to_string(i), 1.0))
+            .is_ok());
+  }
+  env_.run_until(env_.now() + 30.0);
+  ASSERT_EQ(coordinator_->job("job-0")->phase, JobPhase::kRunning);
+  database_.flush_ledger();
+  auto stamps = [this] {
+    std::map<std::pair<int, std::int64_t>, std::string> out;
+    for (const auto& [priority, bucket] : database_.durable_image().queue) {
+      for (const auto& [seq, request] : bucket) {
+        out[{priority, seq}] = request.job_id;
+      }
+    }
+    return out;
+  };
+  const auto before = stamps();
+  ASSERT_EQ(before.size(), 5u);
+  const std::uint64_t appended = database_.wal().stats().appended;
+  const std::uint64_t absorbed = database_.ledger().stats().absorbed;
+  const std::uint64_t ops = database_.decision_path_sync_ops();
+
+  // The one GPU is busy: the pass offers all five requests and places
+  // none.  It reads the queue (one round trip) and writes nothing: no WAL
+  // record, no ledger absorb, every row keeps its stamp.
+  coordinator_->schedule_pass();
+  EXPECT_EQ(database_.decision_path_sync_ops(), ops + 1);
+  EXPECT_EQ(database_.wal().stats().appended, appended);
+  EXPECT_EQ(database_.ledger().stats().absorbed, absorbed);
+  EXPECT_TRUE(database_.ledger().empty());
+  EXPECT_EQ(database_.queue_depth(), 5u);
+  database_.flush_ledger();
+  EXPECT_EQ(stamps(), before);
+  for (int i = 1; i <= 5; ++i) {
+    EXPECT_EQ(coordinator_->job("job-" + std::to_string(i))->phase,
+              JobPhase::kPending);
+  }
 }
 
 TEST_F(CoordinatorTest, DuplicateSubmitRejected) {
