@@ -24,10 +24,16 @@ ApiServer::ApiServer(sim::Environment& env, ApiConfig config, sim::LaneId lane)
       bucket_(config_.admission_rate, config_.admission_burst),
       queue_() {}
 
-ApiServer::~ApiServer() = default;
+ApiServer::~ApiServer() {
+  if (coordinator_ != nullptr) coordinator_->set_on_job_settled(nullptr);
+}
 
 void ApiServer::attach_coordinator(sched::Coordinator* coordinator) {
   coordinator_ = coordinator;
+  if (coordinator_ == nullptr) return;
+  seen_epoch_ = coordinator_->epoch();
+  coordinator_->set_on_job_settled(
+      [this](const std::string& job_id) { reported_.push_back(job_id); });
 }
 
 void ApiServer::attach_database(db::ShardedDatabase* database) {
@@ -248,39 +254,70 @@ std::vector<JobStatusView> ApiServer::status_batch(
   return views;
 }
 
-void ApiServer::reconcile() {
+void ApiServer::settle() {
   if (coordinator_ == nullptr) return;
-  // Only tenants with in-flight jobs can have releases to settle; the
-  // index keeps this O(live tenants), not O(tenants ever seen).
-  for (auto lt = live_tenants_.begin(); lt != live_tenants_.end();) {
-    const std::string& tenant = *lt;
-    TenantState& state = tenants_.at(tenant);
-    for (auto it = state.live.begin(); it != state.live.end();) {
-      const auto* record = coordinator_->job(it->first);
-      bool release = false;
-      if (record == nullptr) {
-        // The job left the local books entirely — withdrawn by the gateway
-        // for a federation forward.  The remote region runs it without
-        // re-charging admission (its home region — us — already did).
-        ++state.counters.departed;
-        ++stats_.totals.departed;
-        retired_.emplace(it->first, "departed");
-        release = true;
-      } else if (sched::job_phase_terminal(record->phase)) {
-        if (record->phase == sched::JobPhase::kCompleted) {
-          ++state.counters.completed;
-          ++stats_.totals.completed;
-        }
-        release = true;
-      }
-      if (release) {
-        queue_.release(tenant, it->second);
-        it = state.live.erase(it);
-      } else {
-        ++it;
+  if (coordinator_->epoch() != seen_epoch_) {
+    // Across a crash/recovery a record can vanish without a report (it
+    // was never made durable), so check every live job once.
+    seen_epoch_ = coordinator_->epoch();
+    ++stats_.settle_rescans;
+    for (const auto& [tenant, state] : tenants_) {
+      for (const auto& [job_id, demand] : state.live) {
+        reported_.push_back(job_id);
       }
     }
-    lt = state.live.empty() ? live_tenants_.erase(lt) : std::next(lt);
+  }
+  if (reported_.empty()) return;
+
+  // Keep the reports this plane holds live, once each, in (tenant, job id)
+  // order: DRF usage is released in the same floating-point order as a
+  // walk over every live job would.
+  struct Due {
+    const std::string* tenant;
+    TenantState* state;
+    std::map<std::string, ResourceVector>::iterator live;
+  };
+  std::vector<Due> due;
+  for (const std::string& job_id : reported_) {
+    auto owner = owner_of_.find(job_id);
+    if (owner == owner_of_.end()) continue;  // not dispatched through here
+    TenantState& state = tenants_.at(owner->second);
+    auto live = state.live.find(job_id);
+    if (live == state.live.end()) continue;  // already released
+    due.push_back({&owner->second, &state, live});
+  }
+  reported_.clear();
+  std::sort(due.begin(), due.end(), [](const Due& a, const Due& b) {
+    if (*a.tenant != *b.tenant) return *a.tenant < *b.tenant;
+    return a.live->first < b.live->first;
+  });
+  due.erase(std::unique(due.begin(), due.end(),
+                        [](const Due& a, const Due& b) {
+                          return a.live == b.live;
+                        }),
+            due.end());
+
+  for (const Due& d : due) {
+    const std::string& job_id = d.live->first;
+    ++stats_.settle_checks;
+    const auto* record = coordinator_->job(job_id);
+    if (record == nullptr) {
+      // The job left the local books entirely — withdrawn by the gateway
+      // for a federation forward.  The remote region runs it without
+      // re-charging admission (its home region — us — already did).
+      ++d.state->counters.departed;
+      ++stats_.totals.departed;
+      retired_.emplace(job_id, "departed");
+    } else if (sched::job_phase_terminal(record->phase)) {
+      if (record->phase == sched::JobPhase::kCompleted) {
+        ++d.state->counters.completed;
+        ++stats_.totals.completed;
+      }
+    } else {
+      continue;  // still live: a rescan entry, or back after a forward
+    }
+    queue_.release(*d.tenant, d.live->second);
+    d.state->live.erase(d.live);
   }
 }
 
@@ -290,7 +327,7 @@ void ApiServer::drain() {
   // The request plane is its own tier: while the core is down it keeps
   // accepting into bounded queues and retries on the next tick.
   if (coordinator_ != nullptr && coordinator_->crashed()) return;
-  reconcile();
+  settle();
 
   const util::SimTime now = env_.now();
   std::size_t dispatched = 0;
@@ -353,7 +390,6 @@ void ApiServer::drain() {
     if (coordinator_ != nullptr) {
       queue_.charge(tenant, demand);
       state.live.emplace(job_id, demand);
-      live_tenants_.insert(tenant);
     } else {
       // Standalone sink mode (request-plane benches): the core's lifecycle
       // is out of scope, so dispatches settle immediately.

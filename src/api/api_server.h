@@ -23,6 +23,13 @@
 //    coordinator's tables O(campus) instead of O(everything ever
 //    submitted) while leaving enough pending pressure for federation
 //    overflow forwarding;
+//  - settlement by notification: the coordinator reports each job that
+//    turns terminal or is withdrawn (Coordinator::set_on_job_settled), and
+//    the next drain re-reads only those records to release the tenant's
+//    in-flight slot and DRF usage — never a walk over every live job.
+//    Reports are hints (the record is re-read); a crash/recovery, seen as
+//    a move of Coordinator::epoch(), triggers one full rescan because
+//    records can vanish across it unreported;
 //  - batched submit/status, with ONE write-behind group commit amortized
 //    across each drained burst (the PR 4 ledger machinery);
 //  - a trace root (obs::stage::kApiAdmit) on every accepted submit, so
@@ -41,7 +48,6 @@
 #include <limits>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -147,6 +153,11 @@ struct ApiStats {
   std::uint64_t group_commits = 0;  // ledger flushes amortized over bursts
   std::uint64_t batch_submits = 0;
   std::uint64_t batch_status = 0;
+  /// Coordinator records examined while settling (one per reported job the
+  /// plane holds live, plus every live job on an epoch rescan).
+  std::uint64_t settle_checks = 0;
+  /// Full rescans of the live jobs after a coordinator crash/recovery.
+  std::uint64_t settle_rescans = 0;
   /// High-water marks (the backpressure evidence: bounded under overload).
   std::size_t max_total_queued = 0;
   std::size_t max_tenant_queued = 0;
@@ -168,6 +179,8 @@ class ApiServer {
   ApiServer& operator=(const ApiServer&) = delete;
 
   // --- Wiring (Platform does this; benches pick what they need) ------------
+  /// Also takes the coordinator's settle reports; the coordinator must
+  /// outlive the server, which unhooks itself on destruction.
   void attach_coordinator(sched::Coordinator* coordinator);
   /// Enables the amortized group commit after each drained burst.
   void attach_database(db::ShardedDatabase* database);
@@ -200,7 +213,7 @@ class ApiServer {
                                           const std::vector<std::string>& ids);
 
   // --- Draining ------------------------------------------------------------
-  /// One bounded drain pass (reconcile releases, then DRF-ordered dispatch
+  /// One bounded drain pass (settle releases, then DRF-ordered dispatch
   /// up to drain_batch, then one group commit).  Runs from the timer; public
   /// so tests and benches can force passes.
   void drain();
@@ -242,8 +255,9 @@ class ApiServer {
   };
 
   TenantState& tenant_state(const std::string& tenant);
-  /// Releases core usage for jobs that left the local coordinator books.
-  void reconcile();
+  /// Releases core usage for the reported jobs that completed, ended or
+  /// left the local coordinator books.
+  void settle();
   void note_queue_depths(const std::string& tenant);
   void schedule_threshold_drain();
 
@@ -261,10 +275,11 @@ class ApiServer {
   TokenBucket bucket_;
   DrfQueue queue_;
   std::map<std::string, TenantState> tenants_;
-  /// Tenants with at least one live (dispatched, unreleased) job — the
-  /// only ones reconcile() must visit.  Stays O(campus) while the tenant
-  /// map grows with everyone ever seen.
-  std::set<std::string> live_tenants_;
+  /// Ids the coordinator reported settled since the last settle() (any
+  /// job, repeats included; settle() filters to the plane's live ones).
+  std::vector<std::string> reported_;
+  /// Coordinator epoch the live maps were last reconciled against.
+  std::uint64_t seen_epoch_ = 0;
   /// Job id -> owning tenant, for status/cancel auth and duplicate checks.
   std::map<std::string, std::string> owner_of_;
   /// Jobs that left the request plane without a core record to point at

@@ -284,6 +284,7 @@ util::StatusOr<Coordinator::WithdrawnJob> Coordinator::withdraw(
   // persists a forward-state row before this erase commits a loss.
   (void)database_.erase_job_state(job_id);
   persist_stats();
+  if (on_job_settled_) on_job_settled_(job_id);
   return out;
 }
 
@@ -495,6 +496,9 @@ void Coordinator::flush_heartbeat_db() {
 void Coordinator::persist_job(const JobRecord& record) {
   database_.put_job_state(to_state(record));
   persist_stats();
+  if (on_job_settled_ && job_phase_terminal(record.phase)) {
+    on_job_settled_(record.spec.id);
+  }
 }
 
 void Coordinator::persist_stats() {

@@ -271,6 +271,16 @@ class Coordinator {
       int gpus_needed)>;
   void set_on_unplaceable(OnUnplaceable cb) { on_unplaceable_ = std::move(cb); }
 
+  /// Invoked with the id of each job that settles here: its record enters
+  /// a terminal phase (every terminal persist, so also a job cancelled
+  /// mid-dispatch that stays live as kCancelled until its ack settles) or
+  /// leaves the books through withdraw().  One id may be reported more
+  /// than once; listeners re-read job() before acting.  Records that
+  /// vanish across a crash/recovery are not reported — listeners rescan
+  /// when epoch() moves.
+  using OnJobSettled = std::function<void(const std::string& job_id)>;
+  void set_on_job_settled(OnJobSettled cb) { on_job_settled_ = std::move(cb); }
+
   // --- Introspection ----------------------------------------------------------
   /// Record by id, live or archived; nullptr when unknown.  Archived
   /// records keep their address (map-node handoff), so pointers obtained
@@ -324,6 +334,8 @@ class Coordinator {
   /// own recovery to have run first.
   void recover();
   bool crashed() const { return crashed_; }
+  /// Incarnation counter: bumped on every crash and recovery.
+  std::uint64_t epoch() const { return epoch_; }
   const CoordinatorRecoveryStats& recovery_stats() const {
     return recovery_stats_;
   }
@@ -475,6 +487,7 @@ class Coordinator {
   CoordinatorStats stats_;
   CoordinatorRecoveryStats recovery_stats_;
   OnUnplaceable on_unplaceable_;
+  OnJobSettled on_job_settled_;
   bool pass_scheduled_ = false;
   bool started_ = false;
   /// Crash-in-place: sim objects cannot be destroyed mid-run (scheduled

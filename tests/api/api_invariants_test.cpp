@@ -14,7 +14,16 @@
 //     capacity x core_load_factor;
 //   * blocked-for-cause — a tenant still backlogged after a quiescent
 //     drain is quota-blocked, budget-starved or capacity-blocked; queues
-//     never hold for no reason.
+//     never hold for no reason;
+//   * settlement ground truth — with the core up, each tenant's in-flight
+//     count, completed and departed counters equal a rescan of the jobs
+//     it dispatched, read through Coordinator::job().  The plane settles
+//     by coordinator reports plus an epoch rescan after a crash; the
+//     campaign's control-plane crashes exercise both.
+//
+// The campaign also runs kParallel at 1 and 4 workers.  Every invariant
+// above is a property of the quiescent state, not of event order, so the
+// same checks run there.
 //
 // DRF share balance is pinned separately (DrfSharesBalanceUnderFlood): it
 // floods the plane from many tenants with long jobs (no releases during
@@ -28,6 +37,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -170,6 +180,42 @@ void check_blocked_for_cause(Platform& platform) {
   }
 }
 
+/// Jobs the plane handed to the core, by tenant (the dispatch observer).
+using DispatchLog = std::vector<std::pair<std::string, std::string>>;
+
+/// After a quiescent drain with the core up, the plane's settlement agrees
+/// with a rescan of every job it dispatched.
+void check_settlement_ground_truth(Platform& platform,
+                                   const DispatchLog& dispatched) {
+  if (platform.control_plane_crashed()) return;  // drains are suspended
+  api::ApiServer& api = platform.api();
+  const sched::Coordinator& coordinator = platform.coordinator();
+  struct Truth {
+    int live = 0;
+    std::uint64_t completed = 0;
+    std::uint64_t departed = 0;
+  };
+  std::map<std::string, Truth> truth;
+  for (const std::string& tenant : api.tenants()) truth[tenant];
+  for (const auto& [tenant, job_id] : dispatched) {
+    Truth& t = truth[tenant];
+    const sched::JobRecord* record = coordinator.job(job_id);
+    if (record == nullptr) {
+      ++t.departed;
+    } else if (record->phase == sched::JobPhase::kCompleted) {
+      ++t.completed;
+    } else if (!sched::job_phase_terminal(record->phase)) {
+      ++t.live;
+    }
+  }
+  for (const auto& [tenant, t] : truth) {
+    const api::TenantCounters& c = api.tenant_counters(tenant);
+    EXPECT_EQ(api.in_flight(tenant), t.live) << tenant;
+    EXPECT_EQ(c.completed, t.completed) << tenant;
+    EXPECT_EQ(c.departed, t.departed) << tenant;
+  }
+}
+
 struct SweepCoverage {
   std::uint64_t submitted = 0;
   std::uint64_t accepted = 0;
@@ -184,19 +230,40 @@ struct SweepCoverage {
   std::uint64_t group_commits = 0;
   std::uint64_t interruptions = 0;
   std::uint64_t crash_recoveries = 0;
+  /// Jobs settled (completed or departed) once the seed's first
+  /// control-plane recovery has run: settlement past an epoch rescan.
+  std::uint64_t settles_after_recovery = 0;
   std::uint64_t api_spans = 0;
 };
 
 void run_one_seed(std::uint64_t seed, int rounds,
-                  SweepCoverage* coverage = nullptr) {
+                  SweepCoverage* coverage = nullptr,
+                  const sim::EnvConfig& env_config = {}) {
   SCOPED_TRACE("GPUNION_INVARIANT_SEED=" + std::to_string(seed));
   util::Rng rng(seed);
-  sim::Environment env(seed);
+  sim::Environment env(seed, env_config);
   Platform platform(env, api_campus());
   platform.start();
   env.run_until(5.0);
 
   api::ApiServer& api = platform.api();
+  DispatchLog dispatched;
+  api.set_dispatch_observer(
+      [&dispatched](const std::string& tenant, const std::string& id) {
+        dispatched.emplace_back(tenant, id);
+      });
+  auto settled = [&api] {
+    return api.stats().totals.completed + api.stats().totals.departed;
+  };
+  auto check_round = [&](std::uint64_t settled_before) {
+    check_api_invariants(platform);
+    if (coverage != nullptr &&
+        platform.coordinator().recovery_stats().recoveries > 0) {
+      coverage->settles_after_recovery += settled() - settled_before;
+    }
+    check_blocked_for_cause(platform);
+    check_settlement_ground_truth(platform, dispatched);
+  };
   int next_job = 0;
   std::vector<std::pair<std::string, std::string>> submitted;  // tenant, id
 
@@ -210,6 +277,7 @@ void run_one_seed(std::uint64_t seed, int rounds,
 
   for (int round = 0; round < rounds; ++round) {
     SCOPED_TRACE("round=" + std::to_string(round));
+    const std::uint64_t settled_before = settled();
     const int burst = static_cast<int>(rng.uniform_int(2, 8));
     for (int b = 0; b < burst; ++b) {
       const std::string tenant = tenant_name(draw_tenant(rng));
@@ -288,7 +356,9 @@ void run_one_seed(std::uint64_t seed, int rounds,
           EXPECT_EQ(owner, "unknown");  // wrong-tenant probe leaks nothing
           for (const auto& view :
                api.status_batch(submitted.back().first, ids)) {
-            if (view.known) EXPECT_FALSE(view.phase.empty());
+            if (view.known) {
+              EXPECT_FALSE(view.phase.empty());
+            }
           }
           break;
         }
@@ -314,16 +384,15 @@ void run_one_seed(std::uint64_t seed, int rounds,
     env.run_until(env.now() + rng.uniform(3.0, 20.0));
     api.drain_to_quiescence();
     platform.database().flush_ledger();
-    check_api_invariants(platform);
-    check_blocked_for_cause(platform);
+    check_round(settled_before);
     if (::testing::Test::HasFatalFailure()) return;
   }
   // Let in-flight work settle, then re-assert everything one last time.
+  const std::uint64_t settled_before = settled();
   env.run_until(env.now() + 400.0);
   api.drain_to_quiescence();
   platform.database().flush_ledger();
-  check_api_invariants(platform);
-  check_blocked_for_cause(platform);
+  check_round(settled_before);
 
   if (coverage != nullptr) {
     const api::ApiStats& stats = api.stats();
@@ -384,7 +453,36 @@ TEST(ApiInvariantsTest, RandomizedMultiTenantCampaign) {
   EXPECT_GT(coverage.interruptions, n / 2);
   EXPECT_GT(coverage.crash_recoveries, n / 4)
       << "the API-over-crashed-core path never ran";
+  EXPECT_GT(coverage.settles_after_recovery, 5 * n)
+      << "no job settled around a recovery: the epoch rescan went unchecked";
   EXPECT_GT(coverage.api_spans, 10 * n) << "tenant-edge trace roots missing";
+}
+
+// The same campaign under kParallel: the request plane shares the
+// control-plane lane with the coordinator, so conservation, quotas, the
+// bounded working set and the settlement ground truth hold whatever the
+// worker count.  Fewer seeds than
+// the deterministic sweep: a kParallel campaign costs over ten times the
+// wall time of a deterministic one.
+TEST(ApiInvariantsTest, RandomizedCampaignParallel) {
+  const char* pinned = std::getenv("GPUNION_INVARIANT_SEED");
+  const std::uint64_t base =
+      pinned != nullptr ? std::strtoull(pinned, nullptr, 10) : 1;
+  const std::uint64_t count = pinned != nullptr ? 10 : 20;
+  for (const unsigned workers : {1u, 4u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    sim::EnvConfig config;
+    config.mode = sim::ExecutionMode::kParallel;
+    config.worker_threads = workers;
+    SweepCoverage coverage;
+    for (std::uint64_t seed = base; seed < base + count; ++seed) {
+      run_one_seed(seed, /*rounds=*/8, &coverage, config);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    EXPECT_GT(coverage.dispatched, 5 * count);
+    EXPECT_GT(coverage.completed, count);
+    EXPECT_GT(coverage.crash_recoveries, count / 4);
+  }
 }
 
 // DRF dominant shares stay within one job of each other while every tenant

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -123,8 +124,9 @@ TEST(DeterminismTest, SimulationResultsMatchAcrossModes) {
 
 /// API-fronted golden scenario: a multi-tenant burst through the request
 /// plane (token bucket, DRF drain, threshold drains, group commits), plus
-/// churn.  Returns the event fire trace AND the API dispatch order — the
-/// request plane must not introduce any nondeterminism of its own.
+/// churn.  Returns the event fire trace AND the API dispatch order as
+/// "tenant/job@sim-time" (%.17g, exact) — the request plane must not
+/// introduce any nondeterminism of its own.
 std::pair<std::vector<FireRecord>, std::vector<std::string>>
 api_golden_trace(const EnvConfig& config) {
   Environment env(42, config);
@@ -147,8 +149,11 @@ api_golden_trace(const EnvConfig& config) {
   std::vector<std::string> dispatch_order;
   platform.start();
   platform.api().set_dispatch_observer(
-      [&dispatch_order](const std::string& tenant, const std::string& id) {
-        dispatch_order.push_back(tenant + "/" + id);
+      [&dispatch_order, &env](const std::string& tenant,
+                              const std::string& id) {
+        char at[32];
+        std::snprintf(at, sizeof(at), "%.17g", env.now());
+        dispatch_order.push_back(tenant + "/" + id + "@" + at);
       });
   env.run_until(10.0);
 
@@ -191,6 +196,49 @@ TEST(DeterminismTest, ApiFrontedCampusIsBitIdentical) {
   for (std::size_t i = 0; i < a.first.size(); ++i) {
     ASSERT_EQ(a.first[i], b.first[i]) << "trace diverged at event " << i;
   }
+}
+
+TEST(DeterminismTest, ApiDrainOrderMatchesGolden) {
+  // Committed bytes: when each job is dispatched depends on when its
+  // tenant's earlier jobs settle (max_in_flight = 3), so this pins the
+  // settle path as well as the DRF order.
+  const std::vector<std::string> golden = {
+    "nlp/nlp-job-3@10",
+    "speech/speech-job-6@10",
+    "vision/vision-job-0@10",
+    "vision/vision-job-1@10",
+    "nlp/nlp-job-4@10.5",
+    "speech/speech-job-7@10.5",
+    "vision/vision-job-2@10.5",
+    "nlp/nlp-job-5@10.5",
+    "speech/speech-job-8@11",
+    "vision/vision-job-9@126",
+    "vision/vision-job-10@206",
+    "speech/speech-job-15@210",
+    "nlp/nlp-job-12@245",
+    "speech/speech-job-16@250.5",
+    "vision/vision-job-11@255.5",
+    "vision/vision-job-18@260.5",
+    "nlp/nlp-job-13@281",
+    "speech/speech-job-17@286.5",
+    "speech/speech-job-24@290",
+    "nlp/nlp-job-14@369.5",
+    "vision/vision-job-19@375",
+    "speech/speech-job-25@419.5",
+    "vision/vision-job-20@444",
+    "nlp/nlp-job-21@450",
+    "speech/speech-job-26@470",
+    "speech/speech-job-33@473.5",
+    "nlp/nlp-job-22@480",
+    "nlp/nlp-job-23@530",
+    "speech/speech-job-34@550",
+    "nlp/nlp-job-30@553",
+    "vision/vision-job-27@558.5",
+    "vision/vision-job-28@589",
+    "nlp/nlp-job-31@663.5",
+  };
+  const auto one = api_golden_trace(deterministic_with_workers(1));
+  EXPECT_EQ(one.second, golden);
 }
 
 TEST(DeterminismTest, ApiDrainOrderIgnoresWorkerCount) {
